@@ -24,7 +24,6 @@ def main():
     print(f"steps: {cfg.spec.N}, elements: {traj.mesh.n_elements}")
     print(f"final ||v||_H = {space.l2_norm(last.v):.6g}")
     print(f"final ||sigma||_H = {space.stress_l2(last.sigma):.6g}")
-    print(f"max CG iterations per step: {max(s.cg_iters for s in traj.states)}")
     print(f"outputs in {args.out}/")
 
 

@@ -16,10 +16,12 @@ boundary condition of the weak form; no surface terms are assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import SparseSym, cg_solve, spmv
+# cg_solve is not called here; perfbench/spans.py wraps fem2d.cg_solve by name
+from .linalg import SparseSym, cg_solve, factorized_solve, spmv  # noqa: F401
 
 GAMMA1 = "gamma1"
 GAMMA2 = "gamma2"
@@ -266,17 +268,34 @@ def apply_dirichlet(a: SparseSym, rhs: np.ndarray, mesh: Mesh2D) -> tuple[Sparse
 
 
 class FemSpace:
-    """Mesh plus cached matrices for the norms used by the time stepper."""
+    """Mesh plus cached matrices for the norms used by the time stepper.
+
+    The H1 matrices and the dual-norm factor are built on first use: a
+    plain run needs only the mass and strain stiffness matrices.
+    """
 
     def __init__(self, mesh: Mesh2D):
         self.mesh = mesh
         self.mass = assemble_mass(mesh)
         self.strain_stiff = assemble_strain_stiffness(mesh)
-        self.grad_stiff = assemble_grad_stiffness(mesh)
-        self.h1_gram = self.mass + self.grad_stiff
         self.mask = mesh.dirichlet_mask()
-        zero = np.zeros(mesh.n_dofs)
-        self.h1_gram_c, _ = apply_dirichlet(self.h1_gram, zero, mesh)
+
+    @cached_property
+    def grad_stiff(self) -> SparseSym:
+        return assemble_grad_stiffness(self.mesh)
+
+    @cached_property
+    def h1_gram(self) -> SparseSym:
+        return self.mass + self.grad_stiff
+
+    @cached_property
+    def h1_gram_c(self) -> SparseSym:
+        """The H1 Gram matrix with the constrained dofs eliminated."""
+        return apply_dirichlet(self.h1_gram, np.zeros(self.mesh.n_dofs), self.mesh)[0]
+
+    @cached_property
+    def _dual_solve(self):
+        return factorized_solve(self.h1_gram_c)
 
     def l2_norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(u @ spmv(self.mass, u), 0.0)))
@@ -285,14 +304,11 @@ class FemSpace:
         """Full H1 norm, sqrt(u' (M + K_grad) u)."""
         return float(np.sqrt(max(u @ spmv(self.h1_gram, u), 0.0)))
 
-    def dual_norm(self, r: np.ndarray, tol: float = 1e-12) -> float:
-        """Discrete dual norm sqrt(r' G^-1 r) via one CG solve on the
-        constrained H1 Gram matrix; r must vanish on constrained dofs."""
+    def dual_norm(self, r: np.ndarray) -> float:
+        """Discrete dual norm sqrt(r' G^-1 r) with G the constrained H1 Gram
+        matrix, factored on the first call; r must vanish on constrained dofs."""
         r = np.where(self.mask, 0.0, r)
-        res = cg_solve(self.h1_gram_c, r, tol=tol)
-        if not res.converged:
-            raise RuntimeError(f"dual-norm solve did not converge: residual {res.residual}")
-        return float(np.sqrt(max(r @ res.x, 0.0)))
+        return float(np.sqrt(max(r @ self._dual_solve(r), 0.0)))
 
     def stress_l2(self, data: np.ndarray) -> float:
         from .tensor_core import frob_inner_arr

@@ -75,6 +75,26 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _number(obj: dict, key: str, kind, where: str, default=None, lowest=None,
+            prefix: str = ""):
+    """``kind(obj[key])``; it must be finite and > 0, or >= ``lowest`` if given.
+
+    A missing key takes ``default``, or is an error when there is none.
+    """
+    name = prefix + key
+    raw = _require(obj, key, where) if default is None else obj.get(key, default)
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"field {name!r}: expected a number, got {raw!r}") from exc
+    if lowest is not None:
+        if not value >= lowest:
+            raise ConfigError(f"field {name!r}: must be >= {lowest}, got {raw!r}")
+    elif not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"field {name!r}: must be finite and > 0, got {raw!r}")
+    return value
+
+
 def _build_fn(obj, role: str, builder, where: str):
     if not isinstance(obj, dict) or "name" not in obj:
         raise ConfigError(f"{where}: expected {{'name': ..., 'params': {{...}}}} for {role}")
@@ -93,9 +113,9 @@ def parse_config(path) -> RunConfig:
     mode = raw.get("mode", "fem")
     if mode not in ("fem", "0d"):
         raise ConfigError(f"mode must be 'fem' or '0d', got {mode!r}")
-    nu = float(_require(raw, "nu", path))
-    total_t = float(_require(raw, "T", path))
-    n_steps = int(_require(raw, "N", path))
+    nu = _number(raw, "nu", float, path)
+    total_t = _number(raw, "T", float, path)
+    n_steps = _number(raw, "N", int, path, lowest=1)
     scheme = raw.get("scheme", "projection")
     if scheme not in ("projection", "implicit", "explicit"):
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -120,8 +140,10 @@ def parse_config(path) -> RunConfig:
     spec = ProblemSpec(
         nu=nu, T=total_t, N=n_steps, mode=mode,
         f=f_fn, h=h_fn, p=p_fn, g=g_fn, v0=v0_fn, sigma0=s0_fn,
-        nx=int(mesh_cfg.get("nx", 8)), ny=int(mesh_cfg.get("ny", 8)),
-        lx=float(mesh_cfg.get("lx", 1.0)), ly=float(mesh_cfg.get("ly", 1.0)),
+        nx=_number(mesh_cfg, "nx", int, path, default=8, lowest=1, prefix="mesh."),
+        ny=_number(mesh_cfg, "ny", int, path, default=8, lowest=1, prefix="mesh."),
+        lx=_number(mesh_cfg, "lx", float, path, default=1.0, prefix="mesh."),
+        ly=_number(mesh_cfg, "ly", float, path, default=1.0, prefix="mesh."),
         gamma1=tuple(mesh_cfg.get("gamma1", ["left"])),
     )
 
@@ -179,7 +201,8 @@ def cmd_run(cfg: RunConfig, out_dir) -> Trajectory:
         else:
             v_l2 = 0.0
             s_l2 = float(np.sqrt(tc.frob_inner_arr(state.sigma, state.sigma).sum()))
-        rows.append([state.n, state.t, v_l2, s_l2, _slack_min(traj, state), state.cg_iters])
+        # the frozen cg_iters column: the factored solve makes no iterations
+        rows.append([state.n, state.t, v_l2, s_l2, _slack_min(traj, state), 0])
         if cfg.vtk_stride > 0 and traj.mesh is not None and state.n % cfg.vtk_stride == 0:
             write_vtk(
                 os.path.join(out_dir, f"snapshot_{state.n:06d}.vtk"),

@@ -5,7 +5,9 @@ Three step variants share the same stress update and per-element projection:
 * ``projection`` (the default): substitute the explicit trial-stress update
   into the momentum equation, giving a single SPD solve per step with matrix
   M/dt + (nu + dt) K, then project the trial stress onto the moving
-  constraint set.  Unconditionally stable, one linear solve per step.
+  constraint set.  Unconditionally stable, one linear solve per step.  The
+  matrix is constant over a run, so it is factored once and each step's
+  solve reuses the factor.
 * ``implicit``: the projected stress itself enters the momentum equation;
   solved by Picard iteration (momentum solve with matrix M/dt + nu K, then
   re-project) started from a projection step.
@@ -22,9 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy.sparse.linalg import eigsh
 
 from . import tensor_core as tc
 from .fem2d import (
@@ -38,7 +42,8 @@ from .fem2d import (
     stress_load,
     strain_of,
 )
-from .linalg import SparseSym, cg_solve, spmv
+# cg_solve is not called here; perfbench/spans.py wraps stepper.cg_solve by name
+from .linalg import SparseSym, cg_solve, factorized_solve, spmv  # noqa: F401
 
 SCHEMES = ("projection", "implicit", "explicit")
 
@@ -73,13 +78,12 @@ class ProblemSpec:
     gamma1: tuple[str, ...] = ("left",)
     eps_rate: Callable[[float], np.ndarray] | None = None
     quad_points: int = 4
-    cg_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.nu <= 0.0:
-            raise ValueError("nu must be > 0")
-        if self.T <= 0.0:
-            raise ValueError("T must be > 0")
+        if not (math.isfinite(self.nu) and self.nu > 0.0):
+            raise ValueError("nu must be finite and > 0")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError("T must be finite and > 0")
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if self.mode not in ("fem", "0d"):
@@ -100,7 +104,6 @@ class SchemeState:
     v: np.ndarray | None          # dof vector (fem) or None (0d)
     sigma_star: np.ndarray        # (m, 3)
     sigma: np.ndarray             # (m, 3)
-    cg_iters: int = 0
     fp_iters: int = 0
     fp_converged: bool = True
 
@@ -161,27 +164,46 @@ def time_average(fn, n: int, dt: float, pts: np.ndarray, quad_points: int = 4) -
 
 
 class _Engine:
-    """Per-run context: mesh, matrices, constrained operators."""
+    """Per-run context: mesh, matrices, constrained operators.
+
+    The step matrices and their factors are built on first use, so an
+    engine made only for ``initial_state`` or the energy report assembles
+    no step matrix, and a projection run never builds ``a_visc``.
+    """
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
-        dt, nu = spec.dt, spec.nu
         if spec.mode == "fem":
             self.mesh = build_rect_mesh(spec.nx, spec.ny, spec.lx, spec.ly, spec.gamma1)
             self.space = FemSpace(self.mesh)
             self.pts = self.mesh.centroids
             self.mask = self.mesh.dirichlet_mask()
-            m_over_dt = self.space.mass.scaled(1.0 / dt)
-            zero = np.zeros(self.mesh.n_dofs)
-            a_proj = m_over_dt + self.space.strain_stiff.scaled(nu + dt)
-            a_visc = m_over_dt + self.space.strain_stiff.scaled(nu)
-            self.a_proj, _ = apply_dirichlet(a_proj, zero, self.mesh)
-            self.a_visc, _ = apply_dirichlet(a_visc, zero, self.mesh)
         else:
             self.mesh = None
             self.space = None
             self.pts = np.zeros((1, 2))
             self.mask = None
+
+    def _step_matrix(self, visc: float) -> SparseSym:
+        """M/dt + visc K with the constrained dofs eliminated."""
+        a = self.space.mass.scaled(1.0 / self.spec.dt) + self.space.strain_stiff.scaled(visc)
+        return apply_dirichlet(a, np.zeros(self.mesh.n_dofs), self.mesh)[0]
+
+    @cached_property
+    def a_proj(self) -> SparseSym:
+        return self._step_matrix(self.spec.nu + self.spec.dt)
+
+    @cached_property
+    def a_visc(self) -> SparseSym:
+        return self._step_matrix(self.spec.nu)
+
+    @cached_property
+    def solve_proj(self):
+        return factorized_solve(self.a_proj)
+
+    @cached_property
+    def solve_visc(self):
+        return factorized_solve(self.a_visc)
 
     # -- data samples -------------------------------------------------------
 
@@ -211,18 +233,16 @@ class _Engine:
 
     # -- momentum solve -----------------------------------------------------
 
-    def solve_momentum(self, a: SparseSym, prev: SchemeState, n: int, sigma_term: np.ndarray):
+    def solve_momentum(self, solve, prev: SchemeState, n: int,
+                       sigma_term: np.ndarray) -> np.ndarray:
+        """Velocity of step n from a factored step-matrix ``solve``."""
         spec = self.spec
         rhs = spmv(self.space.mass, prev.v) / spec.dt + self.f_load(n)
         rhs -= stress_load(StressField(self.mesh, sigma_term))
-        rhs = np.where(self.mask, 0.0, rhs)
-        res = cg_solve(a, rhs, tol=spec.cg_tol)
-        if not res.converged:
-            raise RuntimeError(
-                f"CG did not converge at step {n}: residual {res.residual:.3e} "
-                f"after {res.iters} iterations"
-            )
-        return res.x, res.iters
+        v = solve(np.where(self.mask, 0.0, rhs))
+        if not np.all(np.isfinite(v)):
+            raise RuntimeError(f"momentum solve at step {n} gave a non-finite velocity")
+        return v
 
     def strain_data(self, v: np.ndarray) -> np.ndarray:
         return strain_of(VelocityField(self.mesh, v)).data
@@ -252,14 +272,12 @@ def initial_state(spec: ProblemSpec, engine: _Engine | None = None) -> SchemeSta
     return SchemeState(n=0, t=0.0, v=v0, sigma_star=s0.copy(), sigma=s0.copy())
 
 
-def _finish_step(eng: _Engine, prev: SchemeState, n: int, v, sigma_star, cg_iters,
-                 fp_iters=0, fp_converged=True) -> SchemeState:
+def _finish_step(eng: _Engine, prev: SchemeState, n: int, v, sigma_star) -> SchemeState:
     t_n = n * eng.spec.dt
     p_n = eng.p_at(t_n)
     g_n = eng.g_at(t_n)
     sigma = tc.project_constraint_arr(sigma_star, p_n, g_n)
-    return SchemeState(n=n, t=t_n, v=v, sigma_star=sigma_star, sigma=sigma,
-                       cg_iters=cg_iters, fp_iters=fp_iters, fp_converged=fp_converged)
+    return SchemeState(n=n, t=t_n, v=v, sigma_star=sigma_star, sigma=sigma)
 
 
 def step_projection(prev: SchemeState, spec: ProblemSpec, n: int,
@@ -269,10 +287,10 @@ def step_projection(prev: SchemeState, spec: ProblemSpec, n: int,
     h_n = eng.h_avg(n) if spec.mode == "fem" else time_average(spec.h, n, dt, eng.pts, spec.quad_points)
     if spec.mode == "0d":
         sigma_star = prev.sigma + dt * (eng.eps_rate_at(n * dt) + h_n)
-        return _finish_step(eng, prev, n, None, sigma_star, 0)
-    v, iters = eng.solve_momentum(eng.a_proj, prev, n, prev.sigma + dt * h_n)
+        return _finish_step(eng, prev, n, None, sigma_star)
+    v = eng.solve_momentum(eng.solve_proj, prev, n, prev.sigma + dt * h_n)
     sigma_star = prev.sigma + dt * (eng.strain_data(v) + h_n)
-    return _finish_step(eng, prev, n, v, sigma_star, iters)
+    return _finish_step(eng, prev, n, v, sigma_star)
 
 
 def step_implicit(prev: SchemeState, spec: ProblemSpec, n: int,
@@ -290,14 +308,12 @@ def step_implicit(prev: SchemeState, spec: ProblemSpec, n: int,
     g_n = eng.g_at(t_n)
     start = step_projection(prev, spec, n, engine=eng)
     sigma_k = start.sigma
-    total_cg = start.cg_iters
     areas = eng.mesh.areas
     v = start.v
     converged = False
     it = 0
     for it in range(1, fp_max_iter + 1):
-        v, iters = eng.solve_momentum(eng.a_visc, prev, n, sigma_k)
-        total_cg += iters
+        v = eng.solve_momentum(eng.solve_visc, prev, n, sigma_k)
         trial = prev.sigma + dt * (eng.strain_data(v) + h_n)
         sigma_next = tc.project_constraint_arr(trial, p_n, g_n)
         diff = sigma_next - sigma_k
@@ -308,7 +324,7 @@ def step_implicit(prev: SchemeState, spec: ProblemSpec, n: int,
             converged = True
             break
     return SchemeState(n=n, t=t_n, v=v, sigma_star=sigma_star, sigma=sigma_k,
-                       cg_iters=total_cg, fp_iters=it, fp_converged=converged)
+                       fp_iters=it, fp_converged=converged)
 
 
 def step_explicit(prev: SchemeState, spec: ProblemSpec, n: int,
@@ -318,9 +334,9 @@ def step_explicit(prev: SchemeState, spec: ProblemSpec, n: int,
     if spec.mode == "0d":
         return step_projection(prev, spec, n, engine=eng)
     h_n = eng.h_avg(n)
-    v, iters = eng.solve_momentum(eng.a_visc, prev, n, prev.sigma)
+    v = eng.solve_momentum(eng.solve_visc, prev, n, prev.sigma)
     sigma_star = prev.sigma + dt * (eng.strain_data(v) + h_n)
-    return _finish_step(eng, prev, n, v, sigma_star, iters)
+    return _finish_step(eng, prev, n, v, sigma_star)
 
 
 def run(spec: ProblemSpec, scheme: str = "projection",
@@ -451,15 +467,18 @@ class EnergyReport:
 
 
 def korn_constant(space: FemSpace) -> float:
-    """Largest ratio ||phi||_V / ||E(phi)||_H over the constrained FE space."""
-    import scipy.linalg
+    """Largest ratio ||phi||_V / ||E(phi)||_H over the constrained FE space.
 
-    free = ~space.mesh.dirichlet_mask()
-    g = space.h1_gram.to_dense()[np.ix_(free, free)]
-    k = space.strain_stiff.to_dense()[np.ix_(free, free)]
-    n = g.shape[0]
-    lam = scipy.linalg.eigh(g, k, subset_by_index=[n - 1, n - 1], eigvals_only=True)
-    return float(math.sqrt(lam[-1]))
+    That is sqrt(1 / mu) for the smallest eigenvalue mu of K x = mu G x on
+    the free dofs (K strain stiffness, G H1 Gram), found by shift-invert
+    Lanczos about 0.  The fixed start vector keeps reruns byte-identical.
+    """
+    free = ~space.mask
+    g = space.h1_gram.to_scipy()[free][:, free].tocsc()
+    k = space.strain_stiff.to_scipy()[free][:, free].tocsc()
+    mu = eigsh(k, k=1, M=g, sigma=0.0, which="LM", v0=np.ones(k.shape[0]),
+               return_eigenvectors=False)
+    return float(math.sqrt(1.0 / mu[0]))
 
 
 def energy_report(traj: Trajectory) -> EnergyReport:

@@ -52,6 +52,26 @@ def test_missing_nu_names_the_field(tmp_path):
         cli.parse_config(path)
 
 
+@pytest.mark.parametrize("field, overrides", [
+    ("nu", {"nu": float("nan")}),
+    ("nu", {"nu": -1.0}),
+    ("T", {"T": float("inf")}),
+    ("T", {"T": 0.0}),
+    ("N", {"N": 0}),
+    ("N", {"N": "many"}),
+    ("mesh.nx", {"mesh": {"nx": 0}}),
+    ("mesh.ny", {"mesh": {"ny": -2}}),
+    ("mesh.lx", {"mesh": {"lx": float("nan")}}),
+    ("mesh.ly", {"mesh": {"ly": 0.0}}),
+])
+def test_bad_number_exits_two_naming_the_field(tmp_path, capsys, field, overrides):
+    path = write_config(tmp_path, "bad.json", mode="fem", **overrides)
+    with pytest.raises(ConfigError, match=f"field '{field}'"):
+        cli.parse_config(path)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
 def test_dt_list_must_decrease(tmp_path):
     path = write_config(tmp_path, "bad.json", study={"dt_list": [0.1, 0.2]})
     with pytest.raises(ConfigError, match="decreasing"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plastiproj.linalg import CGResult, SparseSym, cg_solve, spmv
+from plastiproj.linalg import CGResult, SparseSym, cg_solve, factorized_solve, spmv
 
 
 def test_spmv_examples():
@@ -79,3 +79,16 @@ def test_cg_validation():
         cg_solve(a, np.zeros(2), tol=0.0)
     with pytest.raises(ValueError, match="mismatch"):
         cg_solve(a, np.zeros(3))
+
+
+def test_factorized_solve_matches_cg_and_dense():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((30, 30))
+    a_dense = m @ m.T + 30.0 * np.eye(30)
+    a = SparseSym.from_dense(a_dense)
+    solve = factorized_solve(a)
+    for _ in range(2):  # the factor is reused across right-hand sides
+        b = rng.standard_normal(30)
+        x = solve(b)
+        np.testing.assert_allclose(x, np.linalg.solve(a_dense, b), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(x, cg_solve(a, b, tol=1e-14).x, rtol=0.0, atol=1e-10)

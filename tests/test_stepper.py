@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from plastiproj import stepper, tensor_core as tc, yield_charts as yc
+from plastiproj import linalg, stepper, tensor_core as tc, yield_charts as yc
 from plastiproj.catalog import scalar_fn, tensor_fn, vector_fn
 from plastiproj.fem2d import FemSpace, build_rect_mesh
 from plastiproj.scenarios import (
@@ -50,7 +50,11 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         replace(good, nu=0.0)
     with pytest.raises(ValueError):
+        replace(good, nu=float("nan"))
+    with pytest.raises(ValueError):
         replace(good, T=-1.0)
+    with pytest.raises(ValueError):
+        replace(good, T=float("inf"))
     with pytest.raises(ValueError):
         replace(good, N=0)
     with pytest.raises(ValueError):
@@ -143,6 +147,33 @@ def test_run_n1_is_one_projection_step():
     manual = step_projection(initial_state(spec, eng), spec, 1, engine=eng)
     np.testing.assert_allclose(traj.states[1].v, manual.v, atol=1e-13)
     np.testing.assert_allclose(traj.states[1].sigma, manual.sigma, atol=1e-13)
+
+
+def test_projection_run_factors_one_matrix(monkeypatch):
+    engines = []
+    factored = []
+
+    class RecordingEngine(stepper._Engine):
+        def __init__(self, spec):
+            super().__init__(spec)
+            engines.append(self)
+
+    def counting(a):
+        factored.append(a)
+        return linalg.factorized_solve(a)
+
+    monkeypatch.setattr(stepper, "_Engine", RecordingEngine)
+    monkeypatch.setattr(stepper, "factorized_solve", counting)
+    run(small_fem_spec(N=6), "projection")
+    assert len(engines) == 1
+    assert len(factored) == 1
+    assert "a_visc" not in vars(engines[0])
+
+
+def test_non_finite_momentum_solve_names_the_step():
+    nan_after_half = lambda t, pts: np.full((len(pts), 2), np.nan if t > 0.5 else 0.0)
+    with pytest.raises(RuntimeError, match="step 6 gave a non-finite velocity"):
+        run(small_fem_spec(f=nan_after_half), "projection")
 
 
 def test_unknown_scheme_rejected():
@@ -309,6 +340,19 @@ def test_korn_constant_positive():
     space = FemSpace(build_rect_mesh(4, 4, 1.0, 1.0, "left"))
     ck = korn_constant(space)
     assert math.isfinite(ck) and ck > 0.0
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_korn_constant_matches_dense_eigh(n):
+    import scipy.linalg
+
+    space = FemSpace(build_rect_mesh(n, n, 1.0, 1.0, "left"))
+    free = ~space.mesh.dirichlet_mask()
+    g = space.h1_gram.to_dense()[np.ix_(free, free)]
+    k = space.strain_stiff.to_dense()[np.ix_(free, free)]
+    m = g.shape[0]
+    lam = scipy.linalg.eigh(g, k, subset_by_index=[m - 1, m - 1], eigvals_only=True)
+    assert korn_constant(space) == pytest.approx(math.sqrt(lam[-1]), rel=1e-12, abs=0.0)
 
 
 def test_energy_report_small_run():
