@@ -90,6 +90,3 @@ def scalar_fn(name: str, params: dict):
         offset = float(params.get("offset", 0.0))
         return lambda t, pts: offset + amp * _bump(params, pts)
     raise ConfigError(f"unknown scalar function {name!r}")
-
-
-BUILDERS = {"vector": vector_fn, "tensor": tensor_fn, "scalar": scalar_fn}

@@ -22,11 +22,12 @@ import numpy as np
 
 # cg_solve is not called here; perfbench/spans.py wraps fem2d.cg_solve by name
 from .linalg import SparseSym, cg_solve, factorized_solve, spmv  # noqa: F401
+from .tensor_core import frob_inner_arr
 
 GAMMA1 = "gamma1"
 GAMMA2 = "gamma2"
 
-_SIDES = ("left", "right", "top", "bottom")
+SIDES = ("left", "right", "top", "bottom")
 
 
 @dataclass
@@ -70,34 +71,28 @@ class Mesh2D:
     def n_dofs(self) -> int:
         return 2 * self.n_nodes
 
-    def gamma1_nodes(self) -> np.ndarray:
-        nodes = sorted({n for a, b, tag in self.boundary_edges if tag == GAMMA1 for n in (a, b)})
-        return np.array(nodes, dtype=int)
-
     def dirichlet_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_dofs, dtype=bool)
-        for n in self.gamma1_nodes():
-            mask[2 * n] = True
-            mask[2 * n + 1] = True
-        return mask
+        """True on both dofs of every node on a gamma1 edge."""
+        mask = np.zeros((self.n_nodes, 2), dtype=bool)
+        mask[[n for a, b, tag in self.boundary_edges if tag == GAMMA1 for n in (a, b)]] = True
+        return mask.ravel()
 
 
 def build_rect_mesh(nx: int, ny: int, lx: float, ly: float, gamma1) -> Mesh2D:
     """Structured mesh of [0,lx] x [0,ly]; each cell split along its NE diagonal.
 
-    gamma1 selects a nonempty union of sides from {left, right, top, bottom};
-    the rest of the boundary carries the natural (traction-free) condition.
+    gamma1 selects a nonempty union of sides from {left, right, top, bottom}
+    (``Mesh2D`` rejects an empty one); the rest of the boundary carries the
+    natural (traction-free) condition.
     """
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be >= 1")
     if lx <= 0.0 or ly <= 0.0:
         raise ValueError("lx and ly must be > 0")
     gamma1 = {gamma1} if isinstance(gamma1, str) else set(gamma1)
-    unknown = gamma1 - set(_SIDES)
+    unknown = gamma1 - set(SIDES)
     if unknown:
         raise ValueError(f"unknown boundary side(s): {sorted(unknown)}")
-    if not gamma1:
-        raise ValueError("the Dirichlet boundary part must be nonempty")
 
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
@@ -127,34 +122,6 @@ def build_rect_mesh(nx: int, ny: int, lx: float, ly: float, gamma1) -> Mesh2D:
         edges.append((nid(nx, iy), nid(nx, iy + 1), tag("right")))
 
     return Mesh2D(nodes=nodes, triangles=np.array(tris, dtype=int), boundary_edges=edges)
-
-
-@dataclass
-class VelocityField:
-    mesh: Mesh2D
-    values: np.ndarray  # (2 * n_nodes,)
-
-    @classmethod
-    def zero(cls, mesh: Mesh2D) -> "VelocityField":
-        return cls(mesh, np.zeros(mesh.n_dofs))
-
-    @classmethod
-    def interpolate(cls, mesh: Mesh2D, fn) -> "VelocityField":
-        vals = np.asarray(fn(mesh.nodes), dtype=float)
-        return cls(mesh, vals.reshape(-1))
-
-    def at_nodes(self) -> np.ndarray:
-        return self.values.reshape(-1, 2)
-
-
-@dataclass
-class StressField:
-    mesh: Mesh2D
-    data: np.ndarray  # (n_el, 3) packed (s00, s01, s11)
-
-    @classmethod
-    def zero(cls, mesh: Mesh2D) -> "StressField":
-        return cls(mesh, np.zeros((mesh.n_elements, 3)))
 
 
 # -- assembly ----------------------------------------------------------------
@@ -213,22 +180,19 @@ def assemble_grad_stiffness(mesh: Mesh2D) -> SparseSym:
     return _scatter(mesh, local)
 
 
-def strain_of(v: VelocityField) -> StressField:
-    """Element-constant symmetric gradient of a P1 vector field."""
-    mesh = v.mesh
-    nodal = v.at_nodes()[mesh.triangles]          # (m, 3, 2)
+def strain_of(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:
+    """Element-constant symmetric gradient (n_el, 3) of a P1 dof vector."""
+    nodal = v.reshape(-1, 2)[mesh.triangles]      # (m, 3, 2)
     b = mesh.grads[:, :, 0]
     c = mesh.grads[:, :, 1]
     e11 = np.einsum("mi,mi->m", b, nodal[:, :, 0])
     e22 = np.einsum("mi,mi->m", c, nodal[:, :, 1])
     e12 = 0.5 * (np.einsum("mi,mi->m", c, nodal[:, :, 0]) + np.einsum("mi,mi->m", b, nodal[:, :, 1]))
-    return StressField(mesh, np.column_stack([e11, e12, e22]))
+    return np.column_stack([e11, e12, e22])
 
 
-def stress_load(sigma: StressField) -> np.ndarray:
-    """dof vector of (sigma, E(phi_i)) for element-constant sigma."""
-    mesh = sigma.mesh
-    s = sigma.data
+def stress_load(mesh: Mesh2D, s: np.ndarray) -> np.ndarray:
+    """dof vector of (sigma, E(phi_i)) for element-constant sigma, (n_el, 3)."""
     b = mesh.grads[:, :, 0]
     c = mesh.grads[:, :, 1]
     a = mesh.areas[:, None]
@@ -311,20 +275,7 @@ class FemSpace:
         return float(np.sqrt(max(r @ self._dual_solve(r), 0.0)))
 
     def stress_l2(self, data: np.ndarray) -> float:
-        from .tensor_core import frob_inner_arr
-
         return float(np.sqrt(max((self.mesh.areas * frob_inner_arr(data, data)).sum(), 0.0)))
-
-
-def field_norms(fld, mesh: Mesh2D | None = None) -> dict[str, float]:
-    """Convenience norms for a velocity or stress field."""
-    if isinstance(fld, StressField):
-        space = FemSpace(fld.mesh)
-        return {"l2": space.stress_l2(fld.data)}
-    if isinstance(fld, VelocityField):
-        space = FemSpace(fld.mesh)
-        return {"l2": space.l2_norm(fld.values), "v": space.v_norm(fld.values)}
-    raise TypeError(f"unsupported field type {type(fld)!r}")
 
 
 # -- VTK legacy ASCII ---------------------------------------------------------

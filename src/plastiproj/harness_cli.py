@@ -2,7 +2,7 @@
 
 Subcommands: run | stability | convergence | verify, each taking
 --config <path>, --out <dir>, optional --seed <int>.  Exit codes: 0 success,
-1 verification failure, 2 configuration error.
+1 verification failure, 2 configuration error or numerical failure.
 
 Configs are JSON; every data function is referenced by catalog name plus
 parameters so a run is reproducible from the file alone.  CSV layouts are
@@ -25,9 +25,10 @@ import numpy as np
 from . import tensor_core as tc
 from . import verify as verify_mod
 from .catalog import ConfigError, scalar_fn, tensor_fn, vector_fn
-from .fem2d import build_rect_mesh, write_vtk
+from .fem2d import SIDES, build_rect_mesh, write_vtk
 from .scenarios import explicit_blowup_spec
 from .stepper import (
+    SCHEMES,
     ProblemSpec,
     Trajectory,
     discrete_norms,
@@ -95,6 +96,15 @@ def _number(obj: dict, key: str, kind, where: str, default=None, lowest=None,
     return value
 
 
+def _sides(mesh_cfg: dict) -> tuple[str, ...]:
+    """``mesh.gamma1``: a nonempty list of sides, by default the left one."""
+    raw = mesh_cfg.get("gamma1", ["left"])
+    if not (isinstance(raw, list) and raw and all(side in SIDES for side in raw)):
+        raise ConfigError(f"field 'mesh.gamma1': expected a nonempty list from "
+                          f"{'/'.join(SIDES)}, got {raw!r}")
+    return tuple(raw)
+
+
 def _build_fn(obj, role: str, builder, where: str):
     if not isinstance(obj, dict) or "name" not in obj:
         raise ConfigError(f"{where}: expected {{'name': ..., 'params': {{...}}}} for {role}")
@@ -117,7 +127,7 @@ def parse_config(path) -> RunConfig:
     total_t = _number(raw, "T", float, path)
     n_steps = _number(raw, "N", int, path, lowest=1)
     scheme = raw.get("scheme", "projection")
-    if scheme not in ("projection", "implicit", "explicit"):
+    if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
 
     f_fn = _build_fn(raw.get("f", {"name": "constant"}), "f", vector_fn, path)
@@ -125,15 +135,12 @@ def parse_config(path) -> RunConfig:
     p_fn = _build_fn(raw.get("p", {"name": "constant"}), "p", tensor_fn, path)
     g_fn = _build_fn(raw.get("g", {"name": "constant", "params": {"value": 1.0}}),
                      "g", scalar_fn, path)
-    v0_raw = raw.get("v0")
-    s0_raw = raw.get("sigma0")
-    v0_fn = None
-    if v0_raw is not None:
-        vf = _build_fn(v0_raw, "v0", vector_fn, path)
+    v0_fn = s0_fn = None
+    if raw.get("v0") is not None:
+        vf = _build_fn(raw["v0"], "v0", vector_fn, path)
         v0_fn = lambda pts: vf(0.0, pts)
-    s0_fn = None
-    if s0_raw is not None:
-        sf = _build_fn(s0_raw, "sigma0", tensor_fn, path)
+    if raw.get("sigma0") is not None:
+        sf = _build_fn(raw["sigma0"], "sigma0", tensor_fn, path)
         s0_fn = lambda pts: sf(0.0, pts)
 
     mesh_cfg = raw.get("mesh", {})
@@ -144,7 +151,7 @@ def parse_config(path) -> RunConfig:
         ny=_number(mesh_cfg, "ny", int, path, default=8, lowest=1, prefix="mesh."),
         lx=_number(mesh_cfg, "lx", float, path, default=1.0, prefix="mesh."),
         ly=_number(mesh_cfg, "ly", float, path, default=1.0, prefix="mesh."),
-        gamma1=tuple(mesh_cfg.get("gamma1", ["left"])),
+        gamma1=_sides(mesh_cfg),
     )
 
     # data validation: g >= 0 on a t-sample grid, sigma0 feasible at t = 0
@@ -244,6 +251,11 @@ def cmd_stability(cfg: RunConfig, out_dir) -> list[dict]:
     return reports
 
 
+def _check_nested(n_ref: int, n_c: int) -> None:
+    if n_ref % n_c != 0 or n_ref <= n_c:
+        raise ConfigError(f"reference N={n_ref} must be a strict multiple of study N={n_c}")
+
+
 def convergence_errors(ref: Trajectory, coarse: Trajectory) -> dict[str, float]:
     """Errors of a coarse trajectory against a nested finer reference.
 
@@ -254,8 +266,7 @@ def convergence_errors(ref: Trajectory, coarse: Trajectory) -> dict[str, float]:
     over the reference grid.
     """
     n_ref, n_c = ref.spec.N, coarse.spec.N
-    if n_ref % n_c != 0 or n_ref <= n_c:
-        raise ConfigError(f"reference N={n_ref} must be a strict multiple of study N={n_c}")
+    _check_nested(n_ref, n_c)
     stride = n_ref // n_c
     areas = ref.mesh.areas if ref.mesh is not None else np.ones(1)
 
@@ -299,13 +310,15 @@ def cmd_convergence(cfg: RunConfig, out_dir) -> list[dict]:
         raise ConfigError("field 'study.dt_list' is required for the convergence study")
     if cfg.ref_n <= 0:
         raise ConfigError("field 'study.ref_N' is required for the convergence study")
+    steps = [max(1, round(cfg.spec.T / dt)) for dt in cfg.dt_list]
+    for n in steps:  # before the reference run, which is the costly part
+        _check_nested(cfg.ref_n, n)
     os.makedirs(out_dir, exist_ok=True)
     ref = run(cfg.spec.with_steps(cfg.ref_n), cfg.scheme)
     rows = []
     results = []
     prev = None
-    for dt in cfg.dt_list:
-        n = max(1, round(cfg.spec.T / dt))
+    for n in steps:
         coarse = run(cfg.spec.with_steps(n), cfg.scheme)
         errs = convergence_errors(ref, coarse)
         orders = {}
@@ -394,6 +407,9 @@ def main(argv=None) -> int:
         return cmd_verify(cfg, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:  # a non-finite solve or norm
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

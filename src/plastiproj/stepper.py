@@ -14,10 +14,13 @@ Three step variants share the same stress update and per-element projection:
 * ``explicit``: the previous stress enters the momentum equation; only
   conditionally stable, kept as a demonstration reference.
 
+All three run through one step kernel, ``_step``; the scheme only picks the
+stress that enters the momentum equation.
+
 Two scenario modes: ``fem`` (P1 velocity / P0 stress on a rectangle) and
 ``0d`` (a single stress tensor driven by prescribed data, the pointwise
-sweeping process; the momentum equation is dropped and the strain rate is a
-user-supplied function, zero by default).
+sweeping process; the momentum equation is dropped, so there is no strain
+rate and the stress source h alone drives the stress).
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from . import tensor_core as tc
 from .fem2d import (
     FemSpace,
     Mesh2D,
-    StressField,
-    VelocityField,
     body_load,
     build_rect_mesh,
     apply_dirichlet,
@@ -50,6 +51,11 @@ SCHEMES = ("projection", "implicit", "explicit")
 # relative feasibility slack absorbing projection roundoff
 FEASIBILITY_TOL = 1e-10
 
+# Picard iteration of the implicit scheme: stop when successive stresses are
+# this close in the H norm, or after this many momentum solves
+FP_TOL = 1e-10
+FP_MAX_ITER = 200
+
 
 @dataclass
 class ProblemSpec:
@@ -57,8 +63,7 @@ class ProblemSpec:
 
     Data functions are vectorized: f(t, pts)->(k,2), h/p(t, pts)->(k,3)
     packed tensors, g(t, pts)->(k,).  In 0d mode they are evaluated at the
-    single dummy point (0, 0) and eps_rate(t)->(3,) prescribes the strain
-    rate (None means zero).
+    single dummy point (0, 0).
     """
 
     nu: float
@@ -76,8 +81,6 @@ class ProblemSpec:
     lx: float = 1.0
     ly: float = 1.0
     gamma1: tuple[str, ...] = ("left",)
-    eps_rate: Callable[[float], np.ndarray] | None = None
-    quad_points: int = 4
 
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu > 0.0):
@@ -166,18 +169,20 @@ def time_average(fn, n: int, dt: float, pts: np.ndarray, quad_points: int = 4) -
 class _Engine:
     """Per-run context: mesh, matrices, constrained operators.
 
-    The step matrices and their factors are built on first use, so an
-    engine made only for ``initial_state`` or the energy report assembles
-    no step matrix, and a projection run never builds ``a_visc``.
+    A given ``space`` is reused, so an analysis of a finished run builds no
+    second mesh.  The step matrices and their factors are built on first
+    use, so an engine made only for ``initial_state`` or the energy report
+    assembles no step matrix, and a projection run never builds ``a_visc``.
     """
 
-    def __init__(self, spec: ProblemSpec):
+    def __init__(self, spec: ProblemSpec, space: FemSpace | None = None):
         self.spec = spec
         if spec.mode == "fem":
-            self.mesh = build_rect_mesh(spec.nx, spec.ny, spec.lx, spec.ly, spec.gamma1)
-            self.space = FemSpace(self.mesh)
+            self.space = space or FemSpace(
+                build_rect_mesh(spec.nx, spec.ny, spec.lx, spec.ly, spec.gamma1))
+            self.mesh = self.space.mesh
             self.pts = self.mesh.centroids
-            self.mask = self.mesh.dirichlet_mask()
+            self.mask = self.space.mask
         else:
             self.mesh = None
             self.space = None
@@ -208,14 +213,12 @@ class _Engine:
     # -- data samples -------------------------------------------------------
 
     def f_load(self, n: int) -> np.ndarray:
-        spec = self.spec
-        fvals = time_average(spec.f, n, spec.dt, self.pts, spec.quad_points)
+        fvals = time_average(self.spec.f, n, self.spec.dt, self.pts)
         load = body_load(self.mesh, fvals)
         return np.where(self.mask, 0.0, load)
 
     def h_avg(self, n: int) -> np.ndarray:
-        spec = self.spec
-        return time_average(spec.h, n, spec.dt, self.pts, spec.quad_points)
+        return time_average(self.spec.h, n, self.spec.dt, self.pts)
 
     def p_at(self, t: float) -> np.ndarray:
         return np.asarray(self.spec.p(t, self.pts), dtype=float)
@@ -226,11 +229,6 @@ class _Engine:
             raise ValueError(f"yield radius g is negative at t={t}")
         return g
 
-    def eps_rate_at(self, t: float) -> np.ndarray:
-        if self.spec.eps_rate is None:
-            return np.zeros((1, 3))
-        return np.asarray(self.spec.eps_rate(t), dtype=float).reshape(1, 3)
-
     # -- momentum solve -----------------------------------------------------
 
     def solve_momentum(self, solve, prev: SchemeState, n: int,
@@ -238,14 +236,11 @@ class _Engine:
         """Velocity of step n from a factored step-matrix ``solve``."""
         spec = self.spec
         rhs = spmv(self.space.mass, prev.v) / spec.dt + self.f_load(n)
-        rhs -= stress_load(StressField(self.mesh, sigma_term))
+        rhs -= stress_load(self.mesh, sigma_term)
         v = solve(np.where(self.mask, 0.0, rhs))
         if not np.all(np.isfinite(v)):
             raise RuntimeError(f"momentum solve at step {n} gave a non-finite velocity")
         return v
-
-    def strain_data(self, v: np.ndarray) -> np.ndarray:
-        return strain_of(VelocityField(self.mesh, v)).data
 
 
 def initial_state(spec: ProblemSpec, engine: _Engine | None = None) -> SchemeState:
@@ -272,89 +267,70 @@ def initial_state(spec: ProblemSpec, engine: _Engine | None = None) -> SchemeSta
     return SchemeState(n=0, t=0.0, v=v0, sigma_star=s0.copy(), sigma=s0.copy())
 
 
-def _finish_step(eng: _Engine, prev: SchemeState, n: int, v, sigma_star) -> SchemeState:
-    t_n = n * eng.spec.dt
-    p_n = eng.p_at(t_n)
-    g_n = eng.g_at(t_n)
-    sigma = tc.project_constraint_arr(sigma_star, p_n, g_n)
-    return SchemeState(n=n, t=t_n, v=v, sigma_star=sigma_star, sigma=sigma)
+def _step(prev: SchemeState, eng: _Engine, n: int, scheme: str) -> SchemeState:
+    """Step n of ``scheme``: momentum solve, trial stress, projection.
 
-
-def step_projection(prev: SchemeState, spec: ProblemSpec, n: int,
-                    engine: _Engine | None = None) -> SchemeState:
-    eng = engine or _Engine(spec)
-    dt = spec.dt
-    h_n = eng.h_avg(n) if spec.mode == "fem" else time_average(spec.h, n, dt, eng.pts, spec.quad_points)
-    if spec.mode == "0d":
-        sigma_star = prev.sigma + dt * (eng.eps_rate_at(n * dt) + h_n)
-        return _finish_step(eng, prev, n, None, sigma_star)
-    v = eng.solve_momentum(eng.solve_proj, prev, n, prev.sigma + dt * h_n)
-    sigma_star = prev.sigma + dt * (eng.strain_data(v) + h_n)
-    return _finish_step(eng, prev, n, v, sigma_star)
-
-
-def step_implicit(prev: SchemeState, spec: ProblemSpec, n: int,
-                  fp_tol: float = 1e-10, fp_max_iter: int = 200,
-                  engine: _Engine | None = None) -> SchemeState:
-    eng = engine or _Engine(spec)
-    dt = spec.dt
-    if spec.mode == "0d":
-        # no momentum coupling: the fixed point is reached in one projection
-        state = step_projection(prev, spec, n, engine=eng)
-        return replace(state, fp_iters=1)
-    h_n = eng.h_avg(n)
+    The momentum equation sees sigma_{n-1} + dt h_n (projection, matrix
+    M/dt + (nu + dt) K), sigma_{n-1} (explicit, M/dt + nu K), or the
+    projected stress itself (implicit: a projection step, then Picard
+    iteration with M/dt + nu K).
+    """
+    dt = eng.spec.dt
     t_n = n * dt
-    p_n = eng.p_at(t_n)
-    g_n = eng.g_at(t_n)
-    start = step_projection(prev, spec, n, engine=eng)
-    sigma_k = start.sigma
+    h_n, p_n, g_n = eng.h_avg(n), eng.p_at(t_n), eng.g_at(t_n)
+
+    def update(v):
+        # trial stress sigma* = sigma_{n-1} + dt (E(v) + h_n) and its projection
+        rate = h_n if v is None else strain_of(eng.mesh, v) + h_n
+        sigma_star = prev.sigma + dt * rate
+        return sigma_star, tc.project_constraint_arr(sigma_star, p_n, g_n)
+
+    if eng.spec.mode == "0d":
+        # no momentum coupling: every scheme is one projection, and the
+        # implicit fixed point is reached at once
+        return SchemeState(n, t_n, None, *update(None), fp_iters=int(scheme == "implicit"))
+    if scheme == "explicit":
+        v = eng.solve_momentum(eng.solve_visc, prev, n, prev.sigma)
+    else:
+        v = eng.solve_momentum(eng.solve_proj, prev, n, prev.sigma + dt * h_n)
+    sigma_star, sigma = update(v)
+    if scheme != "implicit":
+        return SchemeState(n, t_n, v, sigma_star, sigma)
     areas = eng.mesh.areas
-    v = start.v
-    converged = False
-    it = 0
-    for it in range(1, fp_max_iter + 1):
-        v = eng.solve_momentum(eng.solve_visc, prev, n, sigma_k)
-        trial = prev.sigma + dt * (eng.strain_data(v) + h_n)
-        sigma_next = tc.project_constraint_arr(trial, p_n, g_n)
-        diff = sigma_next - sigma_k
+    for it in range(1, FP_MAX_ITER + 1):
+        v = eng.solve_momentum(eng.solve_visc, prev, n, sigma)
+        sigma_star, sigma_next = update(v)
+        diff = sigma_next - sigma
         dist = math.sqrt(max((areas * tc.frob_inner_arr(diff, diff)).sum(), 0.0))
-        sigma_k = sigma_next
-        sigma_star = trial
-        if dist <= fp_tol:
-            converged = True
-            break
-    return SchemeState(n=n, t=t_n, v=v, sigma_star=sigma_star, sigma=sigma_k,
-                       fp_iters=it, fp_converged=converged)
+        sigma = sigma_next
+        if dist <= FP_TOL:
+            return SchemeState(n, t_n, v, sigma_star, sigma, fp_iters=it)
+    return SchemeState(n, t_n, v, sigma_star, sigma, fp_iters=FP_MAX_ITER,
+                       fp_converged=False)
 
 
-def step_explicit(prev: SchemeState, spec: ProblemSpec, n: int,
-                  engine: _Engine | None = None) -> SchemeState:
-    eng = engine or _Engine(spec)
-    dt = spec.dt
-    if spec.mode == "0d":
-        return step_projection(prev, spec, n, engine=eng)
-    h_n = eng.h_avg(n)
-    v = eng.solve_momentum(eng.solve_visc, prev, n, prev.sigma)
-    sigma_star = prev.sigma + dt * (eng.strain_data(v) + h_n)
-    return _finish_step(eng, prev, n, v, sigma_star)
+def step_projection(prev: SchemeState, eng: _Engine, n: int) -> SchemeState:
+    return _step(prev, eng, n, "projection")
 
 
-def run(spec: ProblemSpec, scheme: str = "projection",
-        fp_tol: float = 1e-10, fp_max_iter: int = 200) -> Trajectory:
+def step_implicit(prev: SchemeState, eng: _Engine, n: int) -> SchemeState:
+    return _step(prev, eng, n, "implicit")
+
+
+def step_explicit(prev: SchemeState, eng: _Engine, n: int) -> SchemeState:
+    return _step(prev, eng, n, "explicit")
+
+
+def run(spec: ProblemSpec, scheme: str = "projection") -> Trajectory:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    # looked up per run, so a wrapper installed on a step function sees every step
+    step = {"projection": step_projection, "implicit": step_implicit,
+            "explicit": step_explicit}[scheme]
     eng = _Engine(spec)
     states = [initial_state(spec, eng)]
     for n in range(1, spec.N + 1):
-        prev = states[-1]
-        if scheme == "projection":
-            state = step_projection(prev, spec, n, engine=eng)
-        elif scheme == "implicit":
-            state = step_implicit(prev, spec, n, fp_tol=fp_tol,
-                                  fp_max_iter=fp_max_iter, engine=eng)
-        else:
-            state = step_explicit(prev, spec, n, engine=eng)
-        states.append(state)
+        states.append(step(states[-1], eng, n))
     return Trajectory(spec=spec, scheme=scheme, states=states,
                       mesh=eng.mesh, space=eng.space)
 
@@ -494,7 +470,7 @@ def energy_report(traj: Trajectory) -> EnergyReport:
     if traj.space is None:
         raise ValueError("energy report needs a fem-mode trajectory")
     spec, space, mesh = traj.spec, traj.space, traj.mesh
-    eng = _Engine(spec)
+    eng = _Engine(spec, space)
     dt = spec.dt
     areas = mesh.areas
 
@@ -554,6 +530,5 @@ def plastic_strain(traj: Trajectory, u_traj: np.ndarray) -> np.ndarray:
         raise ValueError("plastic strain needs a fem-mode trajectory")
     out = np.empty((len(traj.states), mesh.n_elements, 3))
     for n, st in enumerate(traj.states):
-        eps = strain_of(VelocityField(mesh, u_traj[n])).data
-        out[n] = eps - st.sigma
+        out[n] = strain_of(mesh, u_traj[n]) - st.sigma
     return out

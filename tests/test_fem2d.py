@@ -8,14 +8,11 @@ from plastiproj.fem2d import (
     FemSpace,
     GAMMA1,
     GAMMA2,
-    StressField,
-    VelocityField,
     apply_dirichlet,
     assemble_mass,
     assemble_strain_stiffness,
     body_load,
     build_rect_mesh,
-    field_norms,
     strain_of,
     stress_load,
     write_vtk,
@@ -72,27 +69,29 @@ def test_mass_total():
 def test_strain_examples():
     mesh = build_rect_mesh(3, 2, 1.0, 1.0, "left")
 
-    shear = VelocityField.interpolate(mesh, lambda p: np.column_stack([p[:, 1], 0.0 * p[:, 0]]))
-    np.testing.assert_allclose(strain_of(shear).data, np.tile([0.0, 0.5, 0.0], (mesh.n_elements, 1)), atol=1e-14)
+    p = mesh.nodes
 
-    const = VelocityField.interpolate(mesh, lambda p: np.column_stack([np.ones(len(p)), np.ones(len(p))]))
-    np.testing.assert_allclose(strain_of(const).data, 0.0, atol=1e-14)
+    shear = np.column_stack([p[:, 1], 0.0 * p[:, 0]]).ravel()
+    np.testing.assert_allclose(strain_of(mesh, shear), np.tile([0.0, 0.5, 0.0], (mesh.n_elements, 1)), atol=1e-14)
 
-    stretch = VelocityField.interpolate(mesh, lambda p: np.column_stack([p[:, 0], -p[:, 1]]))
-    np.testing.assert_allclose(strain_of(stretch).data, np.tile([1.0, 0.0, -1.0], (mesh.n_elements, 1)), atol=1e-14)
+    const = np.column_stack([np.ones(len(p)), np.ones(len(p))]).ravel()
+    np.testing.assert_allclose(strain_of(mesh, const), 0.0, atol=1e-14)
+
+    stretch = np.column_stack([p[:, 0], -p[:, 1]]).ravel()
+    np.testing.assert_allclose(strain_of(mesh, stretch), np.tile([1.0, 0.0, -1.0], (mesh.n_elements, 1)), atol=1e-14)
 
 
 def test_stress_load_examples():
     mesh = build_rect_mesh(2, 2, 1.0, 1.0, "left")
-    np.testing.assert_allclose(stress_load(StressField.zero(mesh)), 0.0)
+    np.testing.assert_allclose(stress_load(mesh, np.zeros((mesh.n_elements, 3))), 0.0)
 
     # adjoint identity: stress_load(sigma) . v == sum_el area * sigma : E(v)
     rng = np.random.default_rng(4)
-    sigma = StressField(mesh, rng.standard_normal((mesh.n_elements, 3)))
+    sigma = rng.standard_normal((mesh.n_elements, 3))
     v = rng.standard_normal(mesh.n_dofs)
-    lhs = float(stress_load(sigma) @ v)
-    eps = strain_of(VelocityField(mesh, v)).data
-    rhs = float((mesh.areas * frob_inner_arr(sigma.data, eps)).sum())
+    lhs = float(stress_load(mesh, sigma) @ v)
+    eps = strain_of(mesh, v)
+    rhs = float((mesh.areas * frob_inner_arr(sigma, eps)).sum())
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -101,7 +100,7 @@ def test_strain_stiffness_energy_identity():
     k = assemble_strain_stiffness(mesh)
     rng = np.random.default_rng(8)
     v = rng.standard_normal(mesh.n_dofs)
-    eps = strain_of(VelocityField(mesh, v)).data
+    eps = strain_of(mesh, v)
     want = float((mesh.areas * frob_inner_arr(eps, eps)).sum())
     assert float(v @ spmv(k, v)) == pytest.approx(want, rel=1e-12)
 
@@ -133,22 +132,18 @@ def test_dirichlet_solution_vanishes_on_gamma1():
     assert np.abs(res.x[~mesh.dirichlet_mask()]).min() > 0.0
 
 
-def test_field_norms_examples():
+def test_space_norm_examples():
     mesh = build_rect_mesh(3, 3, 1.0, 1.0, "left")
-    zero_v = VelocityField.zero(mesh)
-    assert field_norms(zero_v)["l2"] == 0.0
-    assert field_norms(zero_v)["v"] == 0.0
+    space = FemSpace(mesh)
+    zero_v = np.zeros(mesh.n_dofs)
+    assert space.l2_norm(zero_v) == 0.0
+    assert space.v_norm(zero_v) == 0.0
 
-    const = VelocityField.interpolate(
-        mesh, lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))])
-    )
-    assert field_norms(const)["l2"] == pytest.approx(1.0)
+    const = np.column_stack([np.ones(mesh.n_nodes), np.zeros(mesh.n_nodes)]).ravel()
+    assert space.l2_norm(const) == pytest.approx(1.0)
 
-    sig = StressField(mesh, np.tile([1.0, 0.0, -1.0], (mesh.n_elements, 1)))
-    assert field_norms(sig)["l2"] == pytest.approx(math.sqrt(2.0))
-
-    with pytest.raises(TypeError):
-        field_norms(np.zeros(3))
+    sig = np.tile([1.0, 0.0, -1.0], (mesh.n_elements, 1))
+    assert space.stress_l2(sig) == pytest.approx(math.sqrt(2.0))
 
 
 def test_dual_norm_matches_dense_solve():

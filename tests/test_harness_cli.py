@@ -63,6 +63,8 @@ def test_missing_nu_names_the_field(tmp_path):
     ("mesh.ny", {"mesh": {"ny": -2}}),
     ("mesh.lx", {"mesh": {"lx": float("nan")}}),
     ("mesh.ly", {"mesh": {"ly": 0.0}}),
+    ("mesh.gamma1", {"mesh": {"gamma1": ["up"]}}),
+    ("mesh.gamma1", {"mesh": {"gamma1": "left"}}),
 ])
 def test_bad_number_exits_two_naming_the_field(tmp_path, capsys, field, overrides):
     path = write_config(tmp_path, "bad.json", mode="fem", **overrides)
@@ -215,12 +217,17 @@ def test_convergence_study_0d(tmp_path):
             assert math.isfinite(float(cell))
 
 
-def test_convergence_requires_nested_reference(tmp_path):
+def test_convergence_requires_nested_reference(tmp_path, monkeypatch):
     path = write_config(
         tmp_path, "conv.json", T=1.0, N=10,
         study={"dt_list": [0.15], "ref_N": 100},
     )
     cfg = cli.parse_config(path)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the nesting check must come before any run")
+
+    monkeypatch.setattr(cli, "run", no_run)
     # N = round(1 / 0.15) = 7 does not divide 100
     with pytest.raises(ConfigError, match="multiple"):
         cli.cmd_convergence(cfg, tmp_path / "out")
@@ -270,6 +277,20 @@ def test_main_exit_codes(tmp_path, capsys):
 
     missing = tmp_path / "nope.json"
     assert cli.main(["run", "--config", str(missing), "--out", str(tmp_path / "o3")]) == 2
+
+
+def test_numerical_failure_exits_two_with_one_line(tmp_path, capsys):
+    path = write_config(
+        tmp_path, "huge.json", mode="fem", N=3,
+        mesh={"nx": 2, "ny": 2},
+        f={"name": "constant", "params": {"value": [0.0, 1e308]}},
+        h={"name": "constant", "params": {}},
+    )
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "numerical failure: momentum solve at step 1 gave a non-finite velocity")
 
 
 def test_seed_override(tmp_path):

@@ -1,12 +1,15 @@
-"""The benchmark's trace hooks still find every name they wrap.
+"""The benchmark's trace hooks still find every name they wrap and see every step.
 
 ``perfbench/spans.py`` replaces functions where the package's modules look
 them up (``stepper.cg_solve``, ``fem2d.spmv``, ``FemSpace.dual_norm``, ...),
 so renaming or dropping one of those names breaks ``--trace 1`` with a
-KeyError.  ``install`` patches modules for the life of the process, hence
-the subprocess.
+KeyError.  Its per-step metrics count the ``stepper.step`` spans whose parent
+is a ``stepper.run`` span, so ``run`` must call the step functions by their
+module names, once per step.  ``install`` patches modules for the life of the
+process, hence the subprocess.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -14,10 +17,39 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = """
-import sys
+import json, sys, tempfile
 sys.path[:0] = [{src!r}, {bench!r}]
 import spans
-spans.install(spans.Tracer())
+tracer = spans.Tracer()
+spans.install(tracer)
+
+from plastiproj import harness_cli as cli
+
+cfg = {{"mode": "fem", "nu": 1.0, "T": 1.0, "N": 3, "mesh": {{"nx": 4, "ny": 4}},
+        "f": {{"name": "constant", "params": {{"value": [0.0, -8.0]}}}},
+        "study": {{"dt_list": [1.0, 0.5]}}}}
+out = tempfile.mkdtemp()
+steps = []
+for scheme in ("projection", "implicit"):
+    path = out + "/" + scheme + ".json"
+    with open(path, "w") as fh:
+        json.dump(dict(cfg, scheme=scheme), fh)
+    cli.cmd_run(cli.parse_config(path), out + "/run_" + scheme)
+    steps.append(3)
+cli.cmd_stability(cli.parse_config(path), out + "/stability")
+steps += [1, 2]
+
+arr = tracer.arrays()
+names = [tracer.names[i] for i in arr["name"]]
+runs = [i for i, name in enumerate(names) if name == "stepper.run"]
+print(json.dumps({{
+    "expected_steps": steps,
+    "steps_per_run": [sum(1 for k, name in enumerate(names)
+                          if name == "stepper.step" and arr["parent"][k] == r)
+                      for r in runs],
+    "steps": names.count("stepper.step"),
+    "spaces": names.count("fem2d.FemSpace"),
+}}))
 """
 
 
@@ -26,3 +58,9 @@ def test_trace_hooks_install():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    # one stepper.step span per step, each a child of its stepper.run span
+    assert seen["steps_per_run"] == seen["expected_steps"]
+    assert seen["steps"] == sum(seen["expected_steps"])
+    # one FemSpace per run: the analysis reuses the run's space
+    assert seen["spaces"] == len(seen["expected_steps"])
