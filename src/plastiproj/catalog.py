@@ -47,11 +47,11 @@ def _bump(params, pts):
 def vector_fn(name: str, params: dict):
     if name == "constant":
         val = _vector_value(params)
-        return lambda t, pts: np.broadcast_to(val, (len(pts), 2)).copy()
+        return lambda t, pts: np.full((len(pts), 2), val)
     if name == "linear_in_t":
         base = _vector_value(params, "base")
         slope = _vector_value(params, "slope")
-        return lambda t, pts: np.broadcast_to(base + t * slope, (len(pts), 2)).copy()
+        return lambda t, pts: np.full((len(pts), 2), base + t * slope)
     if name == "gaussian_bump_in_x":
         val = _vector_value(params)
         return lambda t, pts, _v=val: _bump(params, pts)[:, None] * _v
@@ -61,16 +61,16 @@ def vector_fn(name: str, params: dict):
 def tensor_fn(name: str, params: dict):
     if name == "constant":
         val = _tensor_value(params)
-        return lambda t, pts: np.broadcast_to(val, (len(pts), 3)).copy()
+        return lambda t, pts: np.full((len(pts), 3), val)
     if name == "linear_in_t":
         base = _tensor_value(params, "base")
         slope = _tensor_value(params, "slope")
-        return lambda t, pts: np.broadcast_to(base + t * slope, (len(pts), 3)).copy()
+        return lambda t, pts: np.full((len(pts), 3), base + t * slope)
     if name == "radial_deviatoric":
         # amp * diag(1, -1): a pure deviator driving radial loading
         amp = float(params.get("amplitude", 1.0))
         val = amp * np.array([1.0, 0.0, -1.0])
-        return lambda t, pts: np.broadcast_to(val, (len(pts), 3)).copy()
+        return lambda t, pts: np.full((len(pts), 3), val)
     if name == "gaussian_bump_in_x":
         val = _tensor_value(params)
         return lambda t, pts, _v=val: _bump(params, pts)[:, None] * _v

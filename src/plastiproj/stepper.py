@@ -225,7 +225,7 @@ class _Engine:
 
     def g_at(self, t: float) -> np.ndarray:
         g = np.asarray(self.spec.g(t, self.pts), dtype=float)
-        if np.any(g < 0.0):
+        if (g < 0.0).any():
             raise ValueError(f"yield radius g is negative at t={t}")
         return g
 
@@ -283,6 +283,8 @@ def _step(prev: SchemeState, eng: _Engine, n: int, scheme: str) -> SchemeState:
         # trial stress sigma* = sigma_{n-1} + dt (E(v) + h_n) and its projection
         rate = h_n if v is None else strain_of(eng.mesh, v) + h_n
         sigma_star = prev.sigma + dt * rate
+        if not np.isfinite(sigma_star).all():
+            raise RuntimeError(f"trial stress at step {n} is non-finite")
         return sigma_star, tc.project_constraint_arr(sigma_star, p_n, g_n)
 
     if eng.spec.mode == "0d":

@@ -198,15 +198,13 @@ def frob_norm_arr(s: np.ndarray) -> np.ndarray:
 def proj_dev_ball_arr(s: np.ndarray, radius: np.ndarray) -> np.ndarray:
     """Vectorized proj_dev_ball over (n, 3) packed tensors, radius (n,)."""
     radius = np.asarray(radius, dtype=float)
-    if np.any(radius < 0.0):
+    if (radius < 0.0).any():
         raise ValueError("radius must be >= 0 everywhere")
     sph = 0.5 * trace_arr(s)[..., None] * _SPH2
     dev = s - sph
     nd = frob_norm_arr(dev)
-    over = nd > radius
-    scale = np.ones_like(nd)
-    # nd > radius >= 0 implies nd > 0, so the division is safe
-    scale[over] = radius[over] / nd[over]
+    # divides only where nd > radius >= 0, so never by zero
+    scale = np.divide(radius, nd, out=np.ones_like(nd), where=nd > radius)
     return sph + scale[..., None] * dev
 
 

@@ -1,12 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from plastiproj import harness_cli as cli
+from plastiproj import tensor_core as tc
 from plastiproj.catalog import ConfigError
+from plastiproj.stepper import SchemeState, Trajectory, run
 from plastiproj.verify import SuiteResult
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_config(tmp_path, name, **overrides):
@@ -233,6 +240,71 @@ def test_convergence_requires_nested_reference(tmp_path, monkeypatch):
         cli.cmd_convergence(cfg, tmp_path / "out")
 
 
+def per_node_errors(ref, coarse):
+    """convergence_errors evaluated one reference node at a time."""
+    n_ref, n_c = ref.spec.N, coarse.spec.N
+    stride = n_ref // n_c
+    areas = ref.mesh.areas if ref.mesh is not None else np.ones(1)
+
+    def h_norm(data):
+        return float(np.sqrt((areas * tc.frob_inner_arr(data, data)).sum()))
+
+    def coarse_hat(series, j):
+        k, r = divmod(j, stride)
+        if r == 0:
+            return series[k]
+        w = r / stride
+        return (1.0 - w) * series[k] + w * series[k + 1]
+
+    sig_c = coarse.sigma_series()
+    sig_r = ref.sigma_series()
+    err_sigma = max(h_norm(coarse_hat(sig_c, j) - sig_r[j]) for j in range(n_ref + 1))
+    err_v = err_v_l2v = 0.0
+    if ref.space is not None:
+        v_c, v_r = coarse.v_series(), ref.v_series()
+        err_v = max(ref.space.l2_norm(coarse_hat(v_c, j) - v_r[j])
+                    for j in range(n_ref + 1))
+        acc = 0.0
+        for j in range(1, n_ref + 1):
+            k = -(-j * n_c // n_ref)
+            acc += ref.spec.dt * ref.space.v_norm(coarse.states[k].v - ref.states[j].v) ** 2
+        err_v_l2v = math.sqrt(acc)
+    return {"err_sigma_LinfH": err_sigma, "err_v_LinfH": err_v, "err_v_L2V": err_v_l2v}
+
+
+@pytest.mark.parametrize("overrides, n_ref, n_c", [
+    ({"T": 2.0}, 300, 30),
+    ({"mode": "fem", "mesh": {"nx": 4, "ny": 4},
+      "f": {"name": "constant", "params": {"value": [0.0, -8.0]}},
+      "g": {"name": "constant", "params": {"value": 0.5}}}, 40, 8),
+], ids=["0d", "fem4x4"])
+def test_convergence_errors_match_per_node_loop(tmp_path, overrides, n_ref, n_c):
+    spec = cli.parse_config(write_config(tmp_path, "c.json", **overrides)).spec
+    ref = run(spec.with_steps(n_ref))
+    coarse = run(spec.with_steps(n_c))
+    got = cli.convergence_errors(ref, coarse)
+    want = per_node_errors(ref, coarse)
+    assert got["err_sigma_LinfH"] > 0.0
+    assert got == want  # bit for bit
+
+
+def test_convergence_errors_sees_the_last_reference_node(tmp_path):
+    zero = np.zeros(3)
+    spec = cli.parse_config(write_config(tmp_path, "z.json")).spec
+
+    def traj(sigmas):
+        n = len(sigmas) - 1
+        states = [SchemeState(k, k / n, None, s[None], s[None]) for k, s in enumerate(sigmas)]
+        return Trajectory(spec.with_steps(n), "projection", states)
+
+    # the only large error sits at t = T, where both series have a node
+    ref = traj([zero, np.array([1.0, 0.0, 0.0]), zero, zero, np.array([0.0, 3.0, 0.0])])
+    coarse = traj([zero, zero, zero])
+    got = cli.convergence_errors(ref, coarse)
+    assert got["err_sigma_LinfH"] == math.sqrt(18.0)
+    assert got == per_node_errors(ref, coarse)
+
+
 # -- verify and exit codes ----------------------------------------------------------
 
 
@@ -291,6 +363,32 @@ def test_numerical_failure_exits_two_with_one_line(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.splitlines()[-1] == (
         "numerical failure: momentum solve at step 1 gave a non-finite velocity")
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"mode": "fem", "N": 3, "mesh": {"nx": 2, "ny": 2},
+      "f": {"name": "constant", "params": {"value": [0.0, 1e308]}},
+      "h": {"name": "constant", "params": {}}},
+     "momentum solve at step 1 gave a non-finite velocity"),
+    ({"N": 3, "h": {"name": "constant", "params": {"value": [1e308, 0.0, -1e308]}},
+      "g": {"name": "constant", "params": {"value": 1e308}}},
+     "trial stress at step 1 is non-finite"),
+], ids=["fem_overflow", "0d_overflow"])
+def test_overflow_prints_one_stderr_line(tmp_path, overrides, message):
+    # a fresh process, so numpy warnings reach stderr as they would from the CLI
+    path = write_config(tmp_path, "huge.json", **overrides)
+    out = tmp_path / "o"
+    code = ("import sys; from plastiproj.harness_cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", "--config", str(path), "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"numerical failure: {message}"]
+    assert not (out / "norms.csv").exists()
 
 
 def test_seed_override(tmp_path):

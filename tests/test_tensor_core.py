@@ -173,6 +173,35 @@ def test_arr_negative_radius_rejected():
         tc.proj_dev_ball_arr(np.zeros((1, 3)), np.array([-1.0]))
 
 
+def test_proj_dev_ball_arr_matches_scalar_rows():
+    rng = np.random.default_rng(11)
+    data = 2.0 * rng.standard_normal((60, 3))
+    radius = 1.5 * rng.random(60)
+    nd = tc.frob_norm_arr(tc.deviator_arr(data))
+    clipped = nd > radius
+    assert 0 < clipped.sum() < len(data)  # the stack mixes both branches
+    out = tc.proj_dev_ball_arr(data, radius)
+    for k in range(len(data)):
+        want = tc.proj_dev_ball(SymMat(2, tuple(data[k])), radius[k])
+        np.testing.assert_allclose(out[k], want.upper, rtol=0.0, atol=1e-13)
+
+
+def test_proj_dev_ball_arr_on_the_sphere_returns_input():
+    # deviator (1, 1, -1) has norm exactly 2, so nd == radius in floating point
+    s = np.array([[2.0, 1.0, 0.0], [-3.0, 0.25, -1.0]])
+    radius = tc.frob_norm_arr(tc.deviator_arr(s))
+    assert radius[0] == 2.0
+    out = tc.proj_dev_ball_arr(s, radius)
+    assert out.tobytes() == s.tobytes()
+
+
+def test_proj_dev_ball_arr_zero_radius_spherical_input():
+    s = np.array([[3.0, 0.0, 3.0], [-1.5, 0.0, -1.5]])
+    with np.errstate(all="raise"):
+        out = tc.proj_dev_ball_arr(s, np.zeros(2))
+    assert out.tobytes() == s.tobytes()
+
+
 # -- SymMat construction ----------------------------------------------------------
 
 
