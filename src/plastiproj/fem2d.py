@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 # cg_solve is not called here; perfbench/spans.py wraps fem2d.cg_solve by name
 from .linalg import SparseSym, cg_solve, factorized_solve, spmv  # noqa: F401
@@ -131,13 +132,14 @@ _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12
 
 def _scatter(mesh: Mesh2D, local: np.ndarray) -> SparseSym:
     """Accumulate per-element 6x6 blocks (dofs: 2*node+comp) into CSR."""
-    m = mesh.n_elements
-    dofs = np.empty((m, 6), dtype=int)
+    m, n = mesh.n_elements, mesh.n_dofs
+    # int32 indices: a sparse array keeps the index dtype it is built from
+    dofs = np.empty((m, 6), dtype=np.int32)
     dofs[:, 0::2] = 2 * mesh.triangles
     dofs[:, 1::2] = 2 * mesh.triangles + 1
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
-    return SparseSym.from_coo(mesh.n_dofs, rows, cols, local.ravel())
+    return SparseSym(sp.coo_array((local.ravel(), (rows, cols)), shape=(n, n)))
 
 
 def assemble_mass(mesh: Mesh2D) -> SparseSym:
@@ -214,18 +216,11 @@ def body_load(mesh: Mesh2D, cell_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_dirichlet(a: SparseSym, rhs: np.ndarray, mesh: Mesh2D) -> tuple[SparseSym, np.ndarray]:
-    """Symmetric elimination of constrained dofs: unit diagonal, zero rhs."""
-    import scipy.sparse as sp
-
-    mask = mesh.dirichlet_mask()
-    free = (~mask).astype(float)
-    df = sp.diags(free)
-    dc = sp.diags(mask.astype(float))
-    m = (df @ a.to_scipy() @ df + dc).tocsr()
-    m.sort_indices()
-    out_rhs = np.where(mask, 0.0, rhs)
-    return SparseSym(a.n, m.indptr, m.indices, m.data), out_rhs
+def apply_dirichlet(a: SparseSym, mask: np.ndarray) -> SparseSym:
+    """Symmetric elimination of the dofs where ``mask`` is set: their rows and
+    columns become those of the identity; a right-hand side must vanish there."""
+    df = sp.diags_array((~mask).astype(float))
+    return SparseSym(df @ a @ df + sp.diags_array(mask.astype(float)))
 
 
 # -- norms -------------------------------------------------------------------
@@ -255,7 +250,7 @@ class FemSpace:
     @cached_property
     def h1_gram_c(self) -> SparseSym:
         """The H1 Gram matrix with the constrained dofs eliminated."""
-        return apply_dirichlet(self.h1_gram, np.zeros(self.mesh.n_dofs), self.mesh)[0]
+        return apply_dirichlet(self.h1_gram, self.mask)
 
     @cached_property
     def _dual_solve(self):

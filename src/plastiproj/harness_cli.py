@@ -28,6 +28,7 @@ from .catalog import ConfigError, scalar_fn, tensor_fn, vector_fn
 from .fem2d import SIDES, build_rect_mesh, write_vtk
 from .scenarios import explicit_blowup_spec
 from .stepper import (
+    FP_MAX_ITER,
     SCHEMES,
     ProblemSpec,
     Trajectory,
@@ -197,9 +198,19 @@ def _slack_min(traj: Trajectory, state) -> float:
     return float(tc.yield_slack_arr(state.sigma, p_n, g_n).min())
 
 
+def _warn_unconverged(traj: Trajectory, where: str = "") -> None:
+    """One stderr line if an implicit step stopped at the Picard iteration cap."""
+    steps = [s.n for s in traj.states if not s.fp_converged]
+    if steps:
+        print(f"warning: {where}implicit step {steps[0]} did not converge within "
+              f"{FP_MAX_ITER} Picard iterations ({len(steps)} of {traj.spec.N} steps)",
+              file=sys.stderr)
+
+
 def cmd_run(cfg: RunConfig, out_dir) -> Trajectory:
     os.makedirs(out_dir, exist_ok=True)
     traj = run(cfg.spec, cfg.scheme)
+    _warn_unconverged(traj)
     rows = []
     for state in traj.states:
         if traj.space is not None:
@@ -234,6 +245,7 @@ def cmd_stability(cfg: RunConfig, out_dir) -> list[dict]:
         n = max(1, round(cfg.spec.T / dt))
         spec = cfg.spec.with_steps(n)
         traj = run(spec, cfg.scheme)
+        _warn_unconverged(traj, f"dt={dt}: ")
         rep = discrete_norms(traj)
         en = energy_report(traj)
         vals = rep.as_dict()

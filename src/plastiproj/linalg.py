@@ -1,8 +1,7 @@
-"""Sparse symmetric storage, a factored direct solve, and reference CG.
+"""Sparse symmetric matrices, a factored direct solve, and reference CG.
 
-``SparseSym`` keeps plain CSR buffers (row offsets, column indices, values)
-with the symmetry stored fully.  Matrix-vector products and sum/scale reuse
-scipy.sparse on zero-copy views of the same buffers.
+``SparseSym`` is a scipy CSR array with the symmetry stored fully; sums,
+scalar multiples and row/column slices of it stay ``SparseSym``.
 
 ``factorized_solve`` is the production solve: every matrix the stepper and
 the norms solve with is constant over a run, so it is factored once (sparse
@@ -21,49 +20,20 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 
-@dataclass
-class SparseSym:
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-    @classmethod
-    def from_coo(cls, n: int, rows, cols, vals) -> "SparseSym":
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        m.sum_duplicates()
-        m.sort_indices()
-        return cls(n, m.indptr, m.indices, m.data)
-
+class SparseSym(sp.csr_array):
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "SparseSym":
-        m = sp.csr_matrix(np.asarray(a, dtype=float))
-        m.sort_indices()
-        return cls(a.shape[0], m.indptr, m.indices, m.data)
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+        return cls(np.asarray(a, dtype=float))
 
     def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-    def diagonal(self) -> np.ndarray:
-        return self.to_scipy().diagonal()
-
-    def __add__(self, other: "SparseSym") -> "SparseSym":
-        m = (self.to_scipy() + other.to_scipy()).tocsr()
-        m.sort_indices()
-        return SparseSym(self.n, m.indptr, m.indices, m.data)
-
-    def scaled(self, c: float) -> "SparseSym":
-        return SparseSym(self.n, self.indptr, self.indices, self.data * c)
+        return self.toarray()
 
 
 def spmv(a: SparseSym, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (a.n,):
-        raise ValueError(f"dimension mismatch: matrix {a.n}, vector {x.shape}")
-    return a.to_scipy() @ x
+    if x.shape != (a.shape[0],):
+        raise ValueError(f"dimension mismatch: matrix {a.shape[0]}, vector {x.shape}")
+    return a @ x
 
 
 def factorized_solve(a: SparseSym) -> Callable[[np.ndarray], np.ndarray]:
@@ -73,7 +43,7 @@ def factorized_solve(a: SparseSym) -> Callable[[np.ndarray], np.ndarray]:
     matrices: on a 64x64 step matrix its L + U holds about 786k nonzeros,
     where the default COLAMD ordering gives about 1.21M.
     """
-    return splu(a.to_scipy().tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    return splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
 
 
 @dataclass
@@ -98,18 +68,18 @@ def cg_solve(
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
+    n = a.shape[0]
     b = np.asarray(b, dtype=float)
-    if b.shape != (a.n,):
-        raise ValueError(f"dimension mismatch: matrix {a.n}, rhs {b.shape}")
+    if b.shape != (n,):
+        raise ValueError(f"dimension mismatch: matrix {n}, rhs {b.shape}")
     if max_iter is None:
-        max_iter = max(10 * a.n, 100)
+        max_iter = max(10 * n, 100)
 
-    dinv = a.diagonal().copy()
+    dinv = a.diagonal()
     dinv[dinv == 0.0] = 1.0
     dinv = 1.0 / dinv
 
-    mat = a.to_scipy()
-    x = np.zeros(a.n)
+    x = np.zeros(n)
     r = b.copy()
     z = dinv * r
     rz = float(r @ z)
@@ -121,7 +91,7 @@ def cg_solve(
     while it < max_iter:
         if np.sqrt(rz) / b_norm <= tol:
             return CGResult(x=x, iters=it, residual=np.sqrt(rz) / b_norm, converged=True)
-        q = mat @ p
+        q = a @ p
         alpha = rz / float(p @ q)
         x += alpha * p
         r -= alpha * q

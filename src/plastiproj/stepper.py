@@ -34,6 +34,7 @@ import numpy as np
 from scipy.sparse.linalg import eigsh
 
 from . import tensor_core as tc
+from .catalog import ConfigError
 from .fem2d import (
     FemSpace,
     Mesh2D,
@@ -191,8 +192,9 @@ class _Engine:
 
     def _step_matrix(self, visc: float) -> SparseSym:
         """M/dt + visc K with the constrained dofs eliminated."""
-        a = self.space.mass.scaled(1.0 / self.spec.dt) + self.space.strain_stiff.scaled(visc)
-        return apply_dirichlet(a, np.zeros(self.mesh.n_dofs), self.mesh)[0]
+        # times the reciprocal, as the values of a / dt would differ in the last bit
+        a = self.space.mass * (1.0 / self.spec.dt) + self.space.strain_stiff * visc
+        return apply_dirichlet(a, self.mask)
 
     @cached_property
     def a_proj(self) -> SparseSym:
@@ -226,7 +228,8 @@ class _Engine:
     def g_at(self, t: float) -> np.ndarray:
         g = np.asarray(self.spec.g(t, self.pts), dtype=float)
         if (g < 0.0).any():
-            raise ValueError(f"yield radius g is negative at t={t}")
+            # parse_config samples g on [0, T] only; t_N = N dt can pass T
+            raise ConfigError(f"field 'g': negative yield radius at t={t}")
         return g
 
     # -- momentum solve -----------------------------------------------------
@@ -452,8 +455,8 @@ def korn_constant(space: FemSpace) -> float:
     Lanczos about 0.  The fixed start vector keeps reruns byte-identical.
     """
     free = ~space.mask
-    g = space.h1_gram.to_scipy()[free][:, free].tocsc()
-    k = space.strain_stiff.to_scipy()[free][:, free].tocsc()
+    g = space.h1_gram[free][:, free].tocsc()
+    k = space.strain_stiff[free][:, free].tocsc()
     mu = eigsh(k, k=1, M=g, sigma=0.0, which="LM", v0=np.ones(k.shape[0]),
                return_eigenvectors=False)
     return float(math.sqrt(1.0 / mu[0]))

@@ -17,7 +17,7 @@ from plastiproj.fem2d import (
     stress_load,
     write_vtk,
 )
-from plastiproj.linalg import cg_solve, spmv
+from plastiproj.linalg import SparseSym, cg_solve, spmv
 from plastiproj.tensor_core import frob_inner_arr
 
 
@@ -113,23 +113,42 @@ def test_body_load_constant_total():
     assert load[0::2].sum() == pytest.approx(0.0)
 
 
+def test_assembly_sums_duplicates():
+    # the two triangles of a 1x1 mesh share the nodes of its diagonal
+    mesh = build_rect_mesh(1, 1, 1.0, 1.0, "left")
+    a = fem2d._scatter(mesh, np.ones((mesh.n_elements, 6, 6)))
+    shared = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    for tri in mesh.triangles:
+        shared[np.ix_(tri, tri)] += 1.0
+    assert type(a) is SparseSym
+    assert a.has_canonical_format
+    assert a.indptr.dtype == np.int32 and a.indices.dtype == np.int32
+    np.testing.assert_array_equal(a.to_dense(), np.kron(shared, np.ones((2, 2))))
+
+
 def test_apply_dirichlet_all_clamped_is_identity():
     mesh = build_rect_mesh(1, 1, 1.0, 1.0, ("left", "right", "top", "bottom"))
-    a = assemble_mass(mesh)
-    m, rhs = apply_dirichlet(a, np.ones(mesh.n_dofs), mesh)
+    m = apply_dirichlet(assemble_mass(mesh), mesh.dirichlet_mask())
+    assert type(m) is SparseSym
     np.testing.assert_allclose(m.to_dense(), np.eye(mesh.n_dofs), atol=1e-14)
-    np.testing.assert_allclose(rhs, 0.0)
 
 
 def test_dirichlet_solution_vanishes_on_gamma1():
     mesh = build_rect_mesh(4, 4, 1.0, 1.0, "left")
     space = FemSpace(mesh)
-    a, _ = apply_dirichlet(space.h1_gram, np.zeros(mesh.n_dofs), mesh)
-    rhs = np.where(mesh.dirichlet_mask(), 0.0, np.ones(mesh.n_dofs))
+    mask = mesh.dirichlet_mask()
+    a = apply_dirichlet(space.h1_gram, mask)
+    # identity on the constrained rows and columns, the input on the free block
+    dense, eye, free = a.to_dense(), np.eye(mesh.n_dofs), np.ix_(~mask, ~mask)
+    np.testing.assert_array_equal(dense[mask], eye[mask])
+    np.testing.assert_array_equal(dense[:, mask], eye[:, mask])
+    np.testing.assert_array_equal(dense[free], space.h1_gram.to_dense()[free])
+
+    rhs = np.where(mask, 0.0, np.ones(mesh.n_dofs))
     res = cg_solve(a, rhs, tol=1e-13)
     assert res.converged
-    np.testing.assert_allclose(res.x[mesh.dirichlet_mask()], 0.0, atol=1e-12)
-    assert np.abs(res.x[~mesh.dirichlet_mask()]).min() > 0.0
+    np.testing.assert_allclose(res.x[mask], 0.0, atol=1e-12)
+    assert np.abs(res.x[~mask]).min() > 0.0
 
 
 def test_space_norm_examples():

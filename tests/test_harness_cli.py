@@ -3,14 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plastiproj import harness_cli as cli
 from plastiproj import tensor_core as tc
 from plastiproj.catalog import ConfigError
-from plastiproj.stepper import SchemeState, Trajectory, run
+from plastiproj.stepper import SCHEMES, SchemeState, Trajectory, run
 from plastiproj.verify import SuiteResult
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -389,6 +391,60 @@ def test_overflow_prints_one_stderr_line(tmp_path, overrides, message):
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"numerical failure: {message}"]
     assert not (out / "norms.csv").exists()
+
+
+def test_negative_g_at_the_last_step_exits_two(tmp_path, capsys):
+    # g(T) = 0 passes parse_config, but t_7 = 7 * (0.9 / 7) rounds past T
+    path = write_config(tmp_path, "overshoot.json", T=0.9, N=7,
+                        g={"name": "linear_in_t", "params": {"base": 0.9, "slope": -1.0}})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "field 'g'" in err[0] and "negative" in err[0]
+
+
+@pytest.mark.parametrize("command, scheme, warning", [
+    ("run", "implicit",
+     "warning: implicit step 1 did not converge within 200 Picard iterations (1 of 1 steps)"),
+    ("stability", "implicit",
+     "warning: dt=1.0: implicit step 1 did not converge within 200 Picard iterations "
+     "(1 of 1 steps)"),
+    ("run", "projection", None),
+], ids=["run", "stability", "projection_run"])
+def test_unconverged_implicit_step_is_reported(tmp_path, capsys, command, scheme, warning):
+    path = write_config(
+        tmp_path, "stiff.json", mode="fem", N=1, scheme=scheme,
+        mesh={"nx": 8, "ny": 8, "gamma1": ["left"]},
+        f={"name": "constant", "params": {"value": [0.0, -8.0]}},
+        h={"name": "constant", "params": {}},
+        study={"dt_list": [1.0]},
+    )
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ([] if warning is None else [warning])
+
+
+# numbers out of range are covered by test_bad_number_exits_two_naming_the_field;
+# these stay in range so that most examples reach the run (g may turn negative)
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(command=st.sampled_from(["run", "stability"]), mode=st.sampled_from(["fem", "0d"]),
+       scheme=st.sampled_from(SCHEMES), nu=st.floats(0.01, 10.0), total_t=st.floats(0.01, 5.0),
+       n_steps=st.integers(1, 9), nx=st.integers(1, 3),
+       base=st.floats(0.0, 2.0), slope=st.floats(-1.0, 1.0))
+@example(command="run", mode="0d", scheme="projection", nu=1.0, total_t=0.9, n_steps=7,
+         nx=1, base=0.9, slope=-1.0)
+def test_fuzzed_config_exit_code(command, mode, scheme, nu, total_t, n_steps, nx, base, slope):
+    cfg = {"mode": mode, "nu": nu, "T": total_t, "N": n_steps, "scheme": scheme,
+           "mesh": {"nx": nx, "ny": nx},
+           "f": {"name": "constant", "params": {"value": [0.0, -1.0]}},
+           "h": {"name": "radial_deviatoric", "params": {"amplitude": 1.0}},
+           "g": {"name": "linear_in_t", "params": {"base": base, "slope": slope}},
+           "study": {"dt_list": [0.5, 0.25]}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = cli.main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2)
 
 
 def test_seed_override(tmp_path):

@@ -22,17 +22,16 @@ def test_spmv_dimension_mismatch():
         spmv(a, np.zeros(3))
 
 
-def test_from_coo_sums_duplicates():
-    a = SparseSym.from_coo(2, [0, 0, 1], [0, 0, 1], [1.0, 2.0, 5.0])
-    np.testing.assert_allclose(a.to_dense(), np.diag([3.0, 5.0]))
-
-
-def test_add_and_scaled():
+def test_scipy_ops_keep_sparsesym():
     a = SparseSym.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
     b = SparseSym.from_dense(np.eye(2))
-    np.testing.assert_allclose((a + b).to_dense(), a.to_dense() + np.eye(2))
-    np.testing.assert_allclose(a.scaled(0.5).to_dense(), 0.5 * a.to_dense())
-    np.testing.assert_allclose(a.diagonal(), [2.0, 2.0])
+    keep = np.array([True, False])
+    for got, want in [(a + b, a.to_dense() + np.eye(2)),
+                      (a * 0.5, 0.5 * a.to_dense()),
+                      (a[keep][:, keep], [[2.0]])]:
+        assert type(got) is SparseSym
+        np.testing.assert_array_equal(got.to_dense(), want)
+    np.testing.assert_array_equal(a.diagonal(), [2.0, 2.0])
 
 
 def test_cg_zero_rhs():
