@@ -38,8 +38,8 @@ class Mesh2D:
     boundary_edges: list[tuple[int, int, str]]
     areas: np.ndarray = field(init=False)
     centroids: np.ndarray = field(init=False)
-    # gradients of the three barycentric basis functions per element, (n_el, 3, 2)
-    grads: np.ndarray = field(init=False)
+    # int32 dofs (vx0, vy0, vx1, vy1, vx2, vy2) of each element, (n_el, 6)
+    dofs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         p = self.nodes[self.triangles]          # (m, 3, 2)
@@ -50,13 +50,10 @@ class Mesh2D:
             raise ValueError("all triangles must have positive signed area")
         self.areas = 0.5 * det
         self.centroids = p.mean(axis=1)
-        g = np.empty((len(self.triangles), 3, 2))
-        for i in range(3):
-            a = p[:, (i + 1) % 3]
-            b = p[:, (i + 2) % 3]
-            g[:, i, 0] = (a[:, 1] - b[:, 1]) / det
-            g[:, i, 1] = (b[:, 0] - a[:, 0]) / det
-        self.grads = g
+        # int32 indices: a sparse array keeps the index dtype it is built from
+        self.dofs = np.empty((len(self.triangles), 6), dtype=np.int32)
+        self.dofs[:, 0::2] = 2 * self.triangles
+        self.dofs[:, 1::2] = 2 * self.triangles + 1
         if not any(tag == GAMMA1 for _, _, tag in self.boundary_edges):
             raise ValueError("the Dirichlet boundary part must be nonempty")
 
@@ -130,15 +127,24 @@ def build_rect_mesh(nx: int, ny: int, lx: float, ly: float, gamma1) -> Mesh2D:
 _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
+def _basis_grads(mesh: Mesh2D) -> np.ndarray:
+    """Gradients of the three barycentric basis functions per element, (n_el, 3, 2)."""
+    p = mesh.nodes[mesh.triangles]
+    det = 2.0 * mesh.areas
+    g = np.empty((mesh.n_elements, 3, 2))
+    for i in range(3):
+        a = p[:, (i + 1) % 3]
+        b = p[:, (i + 2) % 3]
+        g[:, i, 0] = (a[:, 1] - b[:, 1]) / det
+        g[:, i, 1] = (b[:, 0] - a[:, 0]) / det
+    return g
+
+
 def _scatter(mesh: Mesh2D, local: np.ndarray) -> SparseSym:
     """Accumulate per-element 6x6 blocks (dofs: 2*node+comp) into CSR."""
-    m, n = mesh.n_elements, mesh.n_dofs
-    # int32 indices: a sparse array keeps the index dtype it is built from
-    dofs = np.empty((m, 6), dtype=np.int32)
-    dofs[:, 0::2] = 2 * mesh.triangles
-    dofs[:, 1::2] = 2 * mesh.triangles + 1
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
+    n = mesh.n_dofs
+    rows = np.repeat(mesh.dofs, 6, axis=1).ravel()
+    cols = np.tile(mesh.dofs, (1, 6)).ravel()
     return SparseSym(sp.coo_array((local.ravel(), (rows, cols)), shape=(n, n)))
 
 
@@ -152,29 +158,9 @@ def assemble_mass(mesh: Mesh2D) -> SparseSym:
     return _scatter(mesh, local)
 
 
-def assemble_strain_stiffness(mesh: Mesh2D) -> SparseSym:
-    """Matrix of integral E(phi_i):E(phi_j) over the mesh."""
-    b = mesh.grads[:, :, 0]
-    c = mesh.grads[:, :, 1]
-    m = mesh.n_elements
-    # rows of the per-element strain operator on (vx0, vy0, vx1, vy1, vx2, vy2)
-    b1 = np.zeros((m, 6))
-    b2 = np.zeros((m, 6))
-    b3 = np.zeros((m, 6))
-    b1[:, 0::2] = b
-    b2[:, 1::2] = c
-    b3[:, 0::2] = 0.5 * c
-    b3[:, 1::2] = 0.5 * b
-    local = np.einsum("mi,mj->mij", b1, b1)
-    local += np.einsum("mi,mj->mij", b2, b2)
-    local += 2.0 * np.einsum("mi,mj->mij", b3, b3)
-    local *= mesh.areas[:, None, None]
-    return _scatter(mesh, local)
-
-
 def assemble_grad_stiffness(mesh: Mesh2D) -> SparseSym:
     """Full-gradient (H1 seminorm) matrix, componentwise scalar Laplacian."""
-    g = mesh.grads
+    g = _basis_grads(mesh)
     scal = np.einsum("mix,mjx->mij", g, g) * mesh.areas[:, None, None]
     local = np.zeros((mesh.n_elements, 6, 6))
     local[:, 0::2, 0::2] = scal
@@ -182,38 +168,36 @@ def assemble_grad_stiffness(mesh: Mesh2D) -> SparseSym:
     return _scatter(mesh, local)
 
 
-def strain_of(mesh: Mesh2D, v: np.ndarray) -> np.ndarray:
+def strain_blocks(mesh: Mesh2D) -> np.ndarray:
+    """Element blocks of the strain operator B, (n_el, 3, 6).
+
+    Row k of block e maps the element's dofs ``mesh.dofs[e]`` to component k
+    of its packed symmetric gradient (e11, e12, e22).
+    """
+    g = _basis_grads(mesh)
+    blocks = np.zeros((mesh.n_elements, 3, 6))
+    blocks[:, 0, 0::2] = g[:, :, 0]
+    blocks[:, 1, 0::2] = 0.5 * g[:, :, 1]
+    blocks[:, 1, 1::2] = 0.5 * g[:, :, 0]
+    blocks[:, 2, 1::2] = g[:, :, 1]
+    return blocks
+
+
+def strain_of(space: FemSpace, v: np.ndarray) -> np.ndarray:
     """Element-constant symmetric gradient (n_el, 3) of a P1 dof vector."""
-    nodal = v.reshape(-1, 2)[mesh.triangles]      # (m, 3, 2)
-    b = mesh.grads[:, :, 0]
-    c = mesh.grads[:, :, 1]
-    e11 = np.einsum("mi,mi->m", b, nodal[:, :, 0])
-    e22 = np.einsum("mi,mi->m", c, nodal[:, :, 1])
-    e12 = 0.5 * (np.einsum("mi,mi->m", c, nodal[:, :, 0]) + np.einsum("mi,mi->m", b, nodal[:, :, 1]))
-    return np.column_stack([e11, e12, e22])
+    return (space.strain_op @ v).reshape(-1, 3)
 
 
-def stress_load(mesh: Mesh2D, s: np.ndarray) -> np.ndarray:
+def stress_load(space: FemSpace, s: np.ndarray) -> np.ndarray:
     """dof vector of (sigma, E(phi_i)) for element-constant sigma, (n_el, 3)."""
-    b = mesh.grads[:, :, 0]
-    c = mesh.grads[:, :, 1]
-    a = mesh.areas[:, None]
-    rx = a * (s[:, 0:1] * b + s[:, 1:2] * c)      # (m, 3)
-    ry = a * (s[:, 1:2] * b + s[:, 2:3] * c)
-    out = np.zeros(mesh.n_dofs)
-    np.add.at(out, 2 * mesh.triangles, rx)
-    np.add.at(out, 2 * mesh.triangles + 1, ry)
-    return out
+    return space.strain_op.T @ (space.strain_weight * s.ravel())
 
 
-def body_load(mesh: Mesh2D, cell_values: np.ndarray) -> np.ndarray:
+def body_load(space: FemSpace, cell_values: np.ndarray) -> np.ndarray:
     """dof vector of (f, phi_i) with one-point (centroid) quadrature."""
+    mesh = space.mesh
     share = (mesh.areas[:, None] / 3.0) * cell_values  # (m, 2)
-    out = np.zeros(mesh.n_dofs)
-    for i in range(3):
-        np.add.at(out, 2 * mesh.triangles[:, i], share[:, 0])
-        np.add.at(out, 2 * mesh.triangles[:, i] + 1, share[:, 1])
-    return out
+    return np.bincount(mesh.dofs.ravel(), np.tile(share, 3).ravel(), minlength=mesh.n_dofs)
 
 
 def apply_dirichlet(a: SparseSym, mask: np.ndarray) -> SparseSym:
@@ -229,14 +213,31 @@ def apply_dirichlet(a: SparseSym, mask: np.ndarray) -> SparseSym:
 class FemSpace:
     """Mesh plus cached matrices for the norms used by the time stepper.
 
-    The H1 matrices and the dual-norm factor are built on first use: a
-    plain run needs only the mass and strain stiffness matrices.
+    The strain operator B (``strain_op``) is built once from its element
+    blocks: the strain applies B, the stress load its transpose, and the
+    strain stiffness B' W B is summed from the same blocks.  The H1 matrices
+    and the dual-norm factor are built on first use: a plain run needs only
+    the mass and strain stiffness matrices.
     """
 
     def __init__(self, mesh: Mesh2D):
         self.mesh = mesh
         self.mass = assemble_mass(mesh)
-        self.strain_stiff = assemble_strain_stiffness(mesh)
+        blocks = strain_blocks(mesh)
+        # w = areas x (1, 2, 1), the shear weight of frob_inner_arr:
+        # (sigma, eps)_H = (w * sigma.ravel()) @ eps.ravel()
+        w = np.outer(mesh.areas, (1.0, 2.0, 1.0))
+        self.strain_weight = w.ravel()
+        # B' W B summed element by element; scipy's product B.T @ (W @ B)
+        # gives the same matrix, but its heap temporaries raise peak memory
+        self.strain_stiff = _scatter(mesh, blocks.transpose(0, 2, 1) @ (w[:, :, None] * blocks))
+        # B: row 3e + k is row k of block e on the dofs mesh.dofs[e]; it takes
+        # over the blocks' storage and drops their zeros in place
+        m = mesh.n_elements
+        cols = np.broadcast_to(mesh.dofs[:, None, :], blocks.shape).ravel()
+        indptr = np.arange(0, 18 * m + 1, 6, dtype=np.int32)
+        self.strain_op = SparseSym((blocks.ravel(), cols, indptr), shape=(3 * m, mesh.n_dofs))
+        self.strain_op.eliminate_zeros()
         self.mask = mesh.dirichlet_mask()
 
     @cached_property
@@ -276,6 +277,12 @@ class FemSpace:
 # -- VTK legacy ASCII ---------------------------------------------------------
 
 
+def _rows(fmt: str, a: np.ndarray) -> str:
+    """One ``fmt`` line per row of ``a``, formatted in a single pass."""
+    a = np.asarray(a)
+    return (fmt * len(a)) % tuple(a.ravel().tolist())
+
+
 def write_vtk(
     path,
     mesh: Mesh2D,
@@ -284,30 +291,24 @@ def write_vtk(
     title: str = "plastiproj snapshot",
 ) -> None:
     """Legacy ASCII VTK with P1 vectors as POINT_DATA and P0 tensors as CELL_DATA."""
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
-    lines.append(f"POINTS {mesh.n_nodes} double")
-    for x, y in mesh.nodes:
-        lines.append(f"{x:.17g} {y:.17g} 0")
     m = mesh.n_elements
-    lines.append(f"CELLS {m} {4 * m}")
-    for t in mesh.triangles:
-        lines.append(f"3 {t[0]} {t[1]} {t[2]}")
-    lines.append(f"CELL_TYPES {m}")
-    lines.extend(["5"] * m)
+    parts = [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+             f"POINTS {mesh.n_nodes} double\n",
+             _rows("%.17g %.17g 0\n", mesh.nodes),
+             f"CELLS {m} {4 * m}\n",
+             _rows("3 %d %d %d\n", mesh.triangles),
+             f"CELL_TYPES {m}\n" + "5\n" * m]
     if point_vectors:
-        lines.append(f"POINT_DATA {mesh.n_nodes}")
+        parts.append(f"POINT_DATA {mesh.n_nodes}\n")
         for name, vals in point_vectors.items():
-            vv = np.asarray(vals).reshape(-1, 2)
-            lines.append(f"VECTORS {name} double")
-            for vx, vy in vv:
-                lines.append(f"{vx:.17g} {vy:.17g} 0")
+            parts.append(f"VECTORS {name} double\n")
+            parts.append(_rows("%.17g %.17g 0\n", np.asarray(vals).reshape(-1, 2)))
     if cell_tensors:
-        lines.append(f"CELL_DATA {m}")
+        parts.append(f"CELL_DATA {m}\n")
         for name, vals in cell_tensors.items():
-            lines.append(f"TENSORS {name} double")
-            for s00, s01, s11 in np.asarray(vals):
-                lines.append(f"{s00:.17g} {s01:.17g} 0")
-                lines.append(f"{s01:.17g} {s11:.17g} 0")
-                lines.append("0 0 0")
+            parts.append(f"TENSORS {name} double\n")
+            # packed (s00, s01, s11) as the rows (s00 s01 0), (s01 s11 0), (0 0 0)
+            parts.append(_rows("%.17g %.17g 0\n%.17g %.17g 0\n0 0 0\n",
+                               np.asarray(vals)[:, [0, 1, 1, 2]]))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))

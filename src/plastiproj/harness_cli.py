@@ -219,8 +219,11 @@ def cmd_run(cfg: RunConfig, out_dir) -> Trajectory:
         else:
             v_l2 = 0.0
             s_l2 = float(np.sqrt(tc.frob_inner_arr(state.sigma, state.sigma).sum()))
+        row = [state.n, state.t, v_l2, s_l2, _slack_min(traj, state)]
+        if not all(math.isfinite(x) for x in row[2:]):
+            raise RuntimeError(f"non-finite norm at step {state.n}")
         # the frozen cg_iters column: the factored solve makes no iterations
-        rows.append([state.n, state.t, v_l2, s_l2, _slack_min(traj, state), 0])
+        rows.append(row + [0])
         if cfg.vtk_stride > 0 and traj.mesh is not None and state.n % cfg.vtk_stride == 0:
             write_vtk(
                 os.path.join(out_dir, f"snapshot_{state.n:06d}.vtk"),
@@ -332,11 +335,13 @@ def cmd_convergence(cfg: RunConfig, out_dir) -> list[dict]:
         _check_nested(cfg.ref_n, n)
     os.makedirs(out_dir, exist_ok=True)
     ref = run(cfg.spec.with_steps(cfg.ref_n), cfg.scheme)
+    _warn_unconverged(ref, f"N={cfg.ref_n}: ")
     rows = []
     results = []
     prev = None
     for n in steps:
         coarse = run(cfg.spec.with_steps(n), cfg.scheme)
+        _warn_unconverged(coarse, f"N={n}: ")
         errs = convergence_errors(ref, coarse)
         orders = {}
         for key in errs:

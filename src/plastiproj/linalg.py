@@ -1,6 +1,7 @@
 """Sparse symmetric matrices, a factored direct solve, and reference CG.
 
-``SparseSym`` is a scipy CSR array with the symmetry stored fully; sums,
+``SparseSym`` is a scipy CSR array; the FE matrices store their symmetry
+fully, and the rectangular strain operator of ``fem2d`` is one too.  Sums,
 scalar multiples and row/column slices of it stay ``SparseSym``.
 
 ``factorized_solve`` is the production solve: every matrix the stepper and

@@ -215,9 +215,8 @@ class _Engine:
     # -- data samples -------------------------------------------------------
 
     def f_load(self, n: int) -> np.ndarray:
-        fvals = time_average(self.spec.f, n, self.spec.dt, self.pts)
-        load = body_load(self.mesh, fvals)
-        return np.where(self.mask, 0.0, load)
+        """(f_n, phi_i) for every dof; the callers mask the constrained ones."""
+        return body_load(self.space, time_average(self.spec.f, n, self.spec.dt, self.pts))
 
     def h_avg(self, n: int) -> np.ndarray:
         return time_average(self.spec.h, n, self.spec.dt, self.pts)
@@ -239,7 +238,7 @@ class _Engine:
         """Velocity of step n from a factored step-matrix ``solve``."""
         spec = self.spec
         rhs = spmv(self.space.mass, prev.v) / spec.dt + self.f_load(n)
-        rhs -= stress_load(self.mesh, sigma_term)
+        rhs -= stress_load(self.space, sigma_term)
         v = solve(np.where(self.mask, 0.0, rhs))
         if not np.all(np.isfinite(v)):
             raise RuntimeError(f"momentum solve at step {n} gave a non-finite velocity")
@@ -284,7 +283,7 @@ def _step(prev: SchemeState, eng: _Engine, n: int, scheme: str) -> SchemeState:
 
     def update(v):
         # trial stress sigma* = sigma_{n-1} + dt (E(v) + h_n) and its projection
-        rate = h_n if v is None else strain_of(eng.mesh, v) + h_n
+        rate = h_n if v is None else strain_of(eng.space, v) + h_n
         sigma_star = prev.sigma + dt * rate
         if not np.isfinite(sigma_star).all():
             raise RuntimeError(f"trial stress at step {n} is non-finite")
@@ -338,45 +337,6 @@ def run(spec: ProblemSpec, scheme: str = "projection") -> Trajectory:
         states.append(step(states[-1], eng, n))
     return Trajectory(spec=spec, scheme=scheme, states=states,
                       mesh=eng.mesh, space=eng.space)
-
-
-# -- interpolants -------------------------------------------------------------
-
-
-def _field_of(state: SchemeState, which: str) -> np.ndarray:
-    if which == "v":
-        if state.v is None:
-            raise ValueError("trajectory has no velocity (0d mode)")
-        return state.v
-    if which == "sigma":
-        return state.sigma
-    if which == "sigma_star":
-        return state.sigma_star
-    raise ValueError(f"unknown field {which!r}")
-
-
-def interpolant_eval(traj: Trajectory, t: float, kind: str, which: str) -> np.ndarray:
-    """Piecewise linear (hat) or right-constant (bar) reconstruction in time.
-
-    bar uses the half-open intervals (t_{k-1}, t_k]; a bar query at t = 0
-    returns the first step value by right-continuity.
-    """
-    spec = traj.spec
-    if t < 0.0 or t > spec.T * (1.0 + 1e-12):
-        raise ValueError(f"t={t} outside [0, {spec.T}]")
-    dt = spec.dt
-    if kind == "hat":
-        k = min(int(math.ceil(t / dt - 1e-12)), spec.N)
-        if k <= 0:
-            return _field_of(traj.states[0], which)
-        w = (t - (k - 1) * dt) / dt
-        a = _field_of(traj.states[k - 1], which)
-        b = _field_of(traj.states[k], which)
-        return (1.0 - w) * a + w * b
-    if kind == "bar":
-        k = max(1, min(int(math.ceil(t / dt - 1e-12)), spec.N))
-        return _field_of(traj.states[k], which)
-    raise ValueError(f"unknown interpolant kind {kind!r}")
 
 
 # -- discrete norms ------------------------------------------------------------
@@ -510,30 +470,3 @@ def energy_report(traj: Trajectory) -> EnergyReport:
         space.l2_norm(s0.v) ** 2 + h_sq(s0.sigma) + h_sq(eng.p_at(0.0)) + dt * rhs_sum
     )
     return EnergyReport(lhs=lhs, rhs=rhs, korn=ck, c2=c2, ok=bool(np.all(lhs <= rhs)))
-
-
-# -- displacement and plastic strain --------------------------------------------
-
-
-def accumulate_displacement(traj: Trajectory, u0: np.ndarray | None = None) -> np.ndarray:
-    """Trapezoidal time integration of the velocity, shape (N+1, n_dofs)."""
-    vs = traj.v_series()
-    if vs is None:
-        raise ValueError("displacement accumulation needs a fem-mode trajectory")
-    dt = traj.spec.dt
-    out = np.zeros_like(vs)
-    out[0] = np.zeros(vs.shape[1]) if u0 is None else np.asarray(u0, dtype=float)
-    for n in range(1, len(vs)):
-        out[n] = out[n - 1] + 0.5 * dt * (vs[n - 1] + vs[n])
-    return out
-
-
-def plastic_strain(traj: Trajectory, u_traj: np.ndarray) -> np.ndarray:
-    """Per-element plastic strain series E(u_n) - sigma_n, shape (N+1, m, 3)."""
-    mesh = traj.mesh
-    if mesh is None:
-        raise ValueError("plastic strain needs a fem-mode trajectory")
-    out = np.empty((len(traj.states), mesh.n_elements, 3))
-    for n, st in enumerate(traj.states):
-        out[n] = strain_of(mesh, u_traj[n]) - st.sigma
-    return out

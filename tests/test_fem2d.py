@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from plastiproj import fem2d
+from plastiproj import fem2d, stepper
 from plastiproj.fem2d import (
     FemSpace,
     GAMMA1,
     GAMMA2,
     apply_dirichlet,
     assemble_mass,
-    assemble_strain_stiffness,
     body_load,
     build_rect_mesh,
     strain_of,
@@ -18,6 +17,7 @@ from plastiproj.fem2d import (
     write_vtk,
 )
 from plastiproj.linalg import SparseSym, cg_solve, spmv
+from plastiproj.scenarios import unit_square_spec
 from plastiproj.tensor_core import frob_inner_arr
 
 
@@ -68,46 +68,81 @@ def test_mass_total():
 
 def test_strain_examples():
     mesh = build_rect_mesh(3, 2, 1.0, 1.0, "left")
+    space = FemSpace(mesh)
 
     p = mesh.nodes
 
     shear = np.column_stack([p[:, 1], 0.0 * p[:, 0]]).ravel()
-    np.testing.assert_allclose(strain_of(mesh, shear), np.tile([0.0, 0.5, 0.0], (mesh.n_elements, 1)), atol=1e-14)
+    np.testing.assert_allclose(strain_of(space, shear), np.tile([0.0, 0.5, 0.0], (mesh.n_elements, 1)), atol=1e-14)
 
     const = np.column_stack([np.ones(len(p)), np.ones(len(p))]).ravel()
-    np.testing.assert_allclose(strain_of(mesh, const), 0.0, atol=1e-14)
+    np.testing.assert_allclose(strain_of(space, const), 0.0, atol=1e-14)
 
     stretch = np.column_stack([p[:, 0], -p[:, 1]]).ravel()
-    np.testing.assert_allclose(strain_of(mesh, stretch), np.tile([1.0, 0.0, -1.0], (mesh.n_elements, 1)), atol=1e-14)
+    np.testing.assert_allclose(strain_of(space, stretch), np.tile([1.0, 0.0, -1.0], (mesh.n_elements, 1)), atol=1e-14)
 
 
 def test_stress_load_examples():
     mesh = build_rect_mesh(2, 2, 1.0, 1.0, "left")
-    np.testing.assert_allclose(stress_load(mesh, np.zeros((mesh.n_elements, 3))), 0.0)
+    space = FemSpace(mesh)
+    np.testing.assert_allclose(stress_load(space, np.zeros((mesh.n_elements, 3))), 0.0)
 
     # adjoint identity: stress_load(sigma) . v == sum_el area * sigma : E(v)
     rng = np.random.default_rng(4)
     sigma = rng.standard_normal((mesh.n_elements, 3))
     v = rng.standard_normal(mesh.n_dofs)
-    lhs = float(stress_load(mesh, sigma) @ v)
-    eps = strain_of(mesh, v)
+    lhs = float(stress_load(space, sigma) @ v)
+    eps = strain_of(space, v)
     rhs = float((mesh.areas * frob_inner_arr(sigma, eps)).sum())
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_strain_stiffness_energy_identity():
     mesh = build_rect_mesh(3, 3, 1.0, 1.0, "left")
-    k = assemble_strain_stiffness(mesh)
+    space = FemSpace(mesh)
     rng = np.random.default_rng(8)
     v = rng.standard_normal(mesh.n_dofs)
-    eps = strain_of(mesh, v)
+    eps = strain_of(space, v)
     want = float((mesh.areas * frob_inner_arr(eps, eps)).sum())
-    assert float(v @ spmv(k, v)) == pytest.approx(want, rel=1e-12)
+    assert float(v @ spmv(space.strain_stiff, v)) == pytest.approx(want, rel=1e-12)
+
+
+def reference_strain_stiffness(mesh):
+    """Dense strain stiffness summed from per-element 6x6 blocks, with basis
+    gradients from each element's inverse Jacobian."""
+    k = np.zeros((mesh.n_dofs, mesh.n_dofs))
+    for tri, area in zip(mesh.triangles, mesh.areas):
+        p = mesh.nodes[tri]
+        jac = np.column_stack([p[1] - p[0], p[2] - p[0]])
+        g12 = np.linalg.inv(jac).T               # columns: grad of l1 and l2
+        grads = np.column_stack([-g12[:, 0] - g12[:, 1], g12]).T   # (3, 2)
+        rows = np.zeros((3, 6))                  # (e11, e12, e22) on the six dofs
+        rows[0, 0::2] = grads[:, 0]
+        rows[1, 0::2] = 0.5 * grads[:, 1]
+        rows[1, 1::2] = 0.5 * grads[:, 0]
+        rows[2, 1::2] = grads[:, 1]
+        local = area * rows.T @ np.diag([1.0, 2.0, 1.0]) @ rows
+        dofs = np.column_stack([2 * tri, 2 * tri + 1]).ravel()
+        k[np.ix_(dofs, dofs)] += local
+    return k
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_strain_stiffness_matches_element_blocks(n):
+    space = FemSpace(build_rect_mesh(n, n, 1.0, 1.0, "left"))
+    np.testing.assert_allclose(space.strain_stiff.to_dense(),
+                               reference_strain_stiffness(space.mesh), rtol=1e-14)
+    step = stepper._Engine(unit_square_spec(n_steps=4, mesh_n=n), space).a_proj
+    for a in (space.strain_op, space.strain_stiff, step):
+        assert type(a) is SparseSym
+        assert a.indptr.dtype == np.int32 and a.indices.dtype == np.int32
+    assert space.strain_op.shape == (3 * space.mesh.n_elements, space.mesh.n_dofs)
+    assert (space.strain_op.data != 0.0).all()
 
 
 def test_body_load_constant_total():
     mesh = build_rect_mesh(4, 4, 1.0, 1.0, "left")
-    load = body_load(mesh, np.tile([0.0, -1.0], (mesh.n_elements, 1)))
+    load = body_load(FemSpace(mesh), np.tile([0.0, -1.0], (mesh.n_elements, 1)))
     # total force integrates f over the domain
     assert load[1::2].sum() == pytest.approx(-1.0)
     assert load[0::2].sum() == pytest.approx(0.0)

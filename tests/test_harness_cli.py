@@ -402,21 +402,42 @@ def test_negative_g_at_the_last_step_exits_two(tmp_path, capsys):
     assert len(err) == 1 and "field 'g'" in err[0] and "negative" in err[0]
 
 
+def test_diverging_implicit_run_exits_two(tmp_path, capsys):
+    # dt / nu = 2.5 is past where the Picard map contracts: the norms overflow
+    # while the velocities and trial stresses stay finite
+    path = write_config(
+        tmp_path, "diverge.json", mode="fem", nu=0.2, T=2.992532303003736, N=6,
+        scheme="implicit", mesh={"nx": 3, "ny": 3},
+        f={"name": "constant", "params": {"value": [0.0, -1.0]}},
+        g={"name": "linear_in_t",
+           "params": {"base": 1.1044509607357174, "slope": 0.040564473487280095}},
+    )
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    failures = [line for line in err if line.startswith("numerical failure:")]
+    assert len(failures) == 1
+    assert failures[0].startswith("numerical failure: non-finite norm at step ")
+    assert not (tmp_path / "o" / "norms.csv").exists()
+
+
 @pytest.mark.parametrize("command, scheme, warning", [
     ("run", "implicit",
      "warning: implicit step 1 did not converge within 200 Picard iterations (1 of 1 steps)"),
     ("stability", "implicit",
      "warning: dt=1.0: implicit step 1 did not converge within 200 Picard iterations "
      "(1 of 1 steps)"),
+    ("convergence", "implicit",
+     "warning: N=1: implicit step 1 did not converge within 200 Picard iterations "
+     "(1 of 1 steps)"),
     ("run", "projection", None),
-], ids=["run", "stability", "projection_run"])
+], ids=["run", "stability", "convergence", "projection_run"])
 def test_unconverged_implicit_step_is_reported(tmp_path, capsys, command, scheme, warning):
     path = write_config(
         tmp_path, "stiff.json", mode="fem", N=1, scheme=scheme,
         mesh={"nx": 8, "ny": 8, "gamma1": ["left"]},
         f={"name": "constant", "params": {"value": [0.0, -8.0]}},
         h={"name": "constant", "params": {}},
-        study={"dt_list": [1.0]},
+        study={"dt_list": [1.0], "ref_N": 2},
     )
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     err = capsys.readouterr().err.splitlines()

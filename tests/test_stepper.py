@@ -15,13 +15,10 @@ from plastiproj.scenarios import (
 from plastiproj.stepper import (
     SchemeState,
     Trajectory,
-    accumulate_displacement,
     discrete_norms,
     energy_report,
     initial_state,
-    interpolant_eval,
     korn_constant,
-    plastic_strain,
     run,
     step_projection,
     time_average,
@@ -216,7 +213,7 @@ def test_step_variational_inequality_witnesses():
     for n in (1, 5, 10):
         prev, cur = traj.states[n - 1], traj.states[n]
         h_n = eng.h_avg(n)
-        resid = (cur.sigma - prev.sigma) / spec.dt - strain_of(traj.mesh, cur.v) - h_n
+        resid = (cur.sigma - prev.sigma) / spec.dt - strain_of(traj.space, cur.v) - h_n
         g_n = eng.g_at(cur.t)
         for _ in range(20):
             tau = np.empty((m, 3))
@@ -245,29 +242,6 @@ def test_growing_yield_0d_closed_form_at_grid_nodes():
     amps = traj.sigma_series()[:, 0, 0]
     # the scheme is first order across the contact kink
     assert np.abs(amps - want).max() <= 2.0 * traj.spec.dt
-
-
-# -- interpolants ------------------------------------------------------------------
-
-
-def test_interpolant_examples():
-    traj = run(radial_0d_spec(n_steps=4, total_time=0.4))
-    dt = traj.spec.dt
-    s2 = traj.states[2].sigma
-    np.testing.assert_allclose(interpolant_eval(traj, 2 * dt, "hat", "sigma"), s2)
-    mid = interpolant_eval(traj, 1.5 * dt, "hat", "sigma")
-    np.testing.assert_allclose(mid, 0.5 * (traj.states[1].sigma + s2))
-    np.testing.assert_allclose(interpolant_eval(traj, 2 * dt, "bar", "sigma"), s2)
-    np.testing.assert_allclose(interpolant_eval(traj, 2 * dt - 1e-9, "bar", "sigma"), s2)
-    np.testing.assert_allclose(
-        interpolant_eval(traj, 0.0, "hat", "sigma_star"), traj.states[0].sigma_star
-    )
-    with pytest.raises(ValueError):
-        interpolant_eval(traj, -0.1, "hat", "sigma")
-    with pytest.raises(ValueError):
-        interpolant_eval(traj, 0.1, "step", "sigma")
-    with pytest.raises(ValueError):
-        interpolant_eval(traj, 0.1, "hat", "v")
 
 
 # -- discrete norms -----------------------------------------------------------------
@@ -363,44 +337,3 @@ def test_energy_report_small_run():
     assert np.all(np.isfinite(rep.lhs))
     assert rep.rhs > 0.0
     assert rep.c2 >= math.e * 4.0
-
-
-# -- displacement and plastic strain ----------------------------------------------
-
-
-def test_displacement_rest():
-    traj = run(rest_spec(n_steps=4), "projection")
-    u0 = np.arange(traj.mesh.n_dofs, dtype=float)
-    u = accumulate_displacement(traj, u0)
-    for n in range(5):
-        np.testing.assert_allclose(u[n], u0, atol=1e-12)
-    eps_p = plastic_strain(traj, u)
-    np.testing.assert_allclose(eps_p - eps_p[0], 0.0, atol=1e-12)
-
-
-def test_displacement_constant_velocity():
-    spec = rest_spec(n_steps=4)
-    mesh = build_rect_mesh(spec.nx, spec.ny, spec.lx, spec.ly, spec.gamma1)
-    c = np.where(mesh.dirichlet_mask(), 0.0, 0.7)
-    z = np.zeros((mesh.n_elements, 3))
-    states = [SchemeState(n=k, t=k * spec.dt, v=c.copy(), sigma_star=z.copy(),
-                          sigma=z.copy()) for k in range(5)]
-    traj = _manual_trajectory(spec, states)
-    u = accumulate_displacement(traj)
-    for n in range(5):
-        np.testing.assert_allclose(u[n], n * spec.dt * c, atol=1e-13)
-
-
-def test_elastic_regime_plastic_strain_constant():
-    # constraint never active: sigma stays equal to the accumulated strain of
-    # the trapezoid-free velocity integral only up to O(dt); use small dt
-    spec = small_fem_spec(N=64, g=scalar_fn("constant", {"value": 1e9}))
-    traj = run(spec, "projection")
-    u = accumulate_displacement(traj)
-    eps_p = plastic_strain(traj, u)
-    drift = np.abs(eps_p - eps_p[0]).max()
-    assert drift <= 0.08  # first-order in dt; tightens under refinement
-    spec2 = spec.with_steps(128)
-    traj2 = run(spec2, "projection")
-    eps_p2 = plastic_strain(traj2, accumulate_displacement(traj2))
-    assert np.abs(eps_p2 - eps_p2[0]).max() <= 0.75 * drift
