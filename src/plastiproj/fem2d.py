@@ -15,11 +15,13 @@ boundary condition of the weak form; no surface terms are assembled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 # cg_solve is not called here; perfbench/spans.py wraps fem2d.cg_solve by name
 from .linalg import SparseSym, cg_solve, factorized_solve, spmv  # noqa: F401
@@ -97,29 +99,22 @@ def build_rect_mesh(nx: int, ny: int, lx: float, ly: float, gamma1) -> Mesh2D:
     xx, yy = np.meshgrid(xs, ys)
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
+    # node (ix, iy) is iy * (nx + 1) + ix; cell (ix, iy), row by row, gives
+    # the triangles (n00, n10, n11) and (n00, n11, n01)
+    n00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    n10, n01 = n00 + 1, n00 + nx + 1
+    tris = np.column_stack([n00, n10, n01 + 1, n00, n01 + 1, n01]).reshape(-1, 3)
 
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            n00, n10 = nid(ix, iy), nid(ix + 1, iy)
-            n01, n11 = nid(ix, iy + 1), nid(ix + 1, iy + 1)
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
+    # boundary edges: bottom and top of each column, then left and right of each row
+    bottom = np.column_stack([np.arange(nx), np.arange(1, nx + 1)])
+    left = np.column_stack([np.arange(ny), np.arange(1, ny + 1)]) * (nx + 1)
+    pairs = np.concatenate([np.hstack([bottom, bottom + ny * (nx + 1)]).reshape(-1, 2),
+                            np.hstack([left, left + nx]).reshape(-1, 2)])
+    sides = ["bottom", "top"] * nx + ["left", "right"] * ny
+    edges = [(a, b, GAMMA1 if side in gamma1 else GAMMA2)
+             for (a, b), side in zip(pairs.tolist(), sides)]
 
-    def tag(side):
-        return GAMMA1 if side in gamma1 else GAMMA2
-
-    edges = []
-    for ix in range(nx):
-        edges.append((nid(ix, 0), nid(ix + 1, 0), tag("bottom")))
-        edges.append((nid(ix, ny), nid(ix + 1, ny), tag("top")))
-    for iy in range(ny):
-        edges.append((nid(0, iy), nid(0, iy + 1), tag("left")))
-        edges.append((nid(nx, iy), nid(nx, iy + 1), tag("right")))
-
-    return Mesh2D(nodes=nodes, triangles=np.array(tris, dtype=int), boundary_edges=edges)
+    return Mesh2D(nodes=nodes, triangles=tris, boundary_edges=edges)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -215,9 +210,10 @@ class FemSpace:
 
     The strain operator B (``strain_op``) is built once from its element
     blocks: the strain applies B, the stress load its transpose, and the
-    strain stiffness B' W B is summed from the same blocks.  The H1 matrices
-    and the dual-norm factor are built on first use: a plain run needs only
-    the mass and strain stiffness matrices.
+    strain stiffness B' W B is summed from the same blocks.  The H1 matrices,
+    the dual-norm factor and the Korn constant are built on first use: a
+    plain run needs only the mass and strain stiffness matrices.  A study
+    shares one space across its runs, so each is built at most once.
     """
 
     def __init__(self, mesh: Mesh2D):
@@ -256,6 +252,21 @@ class FemSpace:
     @cached_property
     def _dual_solve(self):
         return factorized_solve(self.h1_gram_c)
+
+    @cached_property
+    def korn(self) -> float:
+        """Largest ratio ||phi||_V / ||E(phi)||_H over the constrained space.
+
+        That is sqrt(1 / mu) for the smallest eigenvalue mu of K x = mu G x on
+        the free dofs (K strain stiffness, G H1 Gram), found by shift-invert
+        Lanczos about 0.  The fixed start vector keeps reruns byte-identical.
+        """
+        free = ~self.mask
+        g = self.h1_gram[free][:, free].tocsc()
+        k = self.strain_stiff[free][:, free].tocsc()
+        mu = eigsh(k, k=1, M=g, sigma=0.0, which="LM", v0=np.ones(k.shape[0]),
+                   return_eigenvectors=False)
+        return float(math.sqrt(1.0 / mu[0]))
 
     def l2_norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(u @ spmv(self.mass, u), 0.0)))

@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor_core as tc
 from . import verify as verify_mod
 from .catalog import ConfigError, scalar_fn, tensor_fn, vector_fn
-from .fem2d import SIDES, build_rect_mesh, write_vtk
+from .fem2d import SIDES, FemSpace, build_rect_mesh, write_vtk
 from .scenarios import explicit_blowup_spec
 from .stepper import (
     FP_MAX_ITER,
@@ -34,6 +34,7 @@ from .stepper import (
     Trajectory,
     discrete_norms,
     energy_report,
+    initial_state,
     run,
 )
 
@@ -144,30 +145,26 @@ def parse_config(path) -> RunConfig:
         sf = _build_fn(raw["sigma0"], "sigma0", tensor_fn, path)
         s0_fn = lambda pts: sf(0.0, pts)
 
+    # the mesh fields are checked in 0d mode too, where they go unused
     mesh_cfg = raw.get("mesh", {})
-    spec = ProblemSpec(
-        nu=nu, T=total_t, N=n_steps, mode=mode,
-        f=f_fn, h=h_fn, p=p_fn, g=g_fn, v0=v0_fn, sigma0=s0_fn,
-        nx=_number(mesh_cfg, "nx", int, path, default=8, lowest=1, prefix="mesh."),
-        ny=_number(mesh_cfg, "ny", int, path, default=8, lowest=1, prefix="mesh."),
-        lx=_number(mesh_cfg, "lx", float, path, default=1.0, prefix="mesh."),
-        ly=_number(mesh_cfg, "ly", float, path, default=1.0, prefix="mesh."),
-        gamma1=_sides(mesh_cfg),
+    mesh_args = (
+        _number(mesh_cfg, "nx", int, path, default=8, lowest=1, prefix="mesh."),
+        _number(mesh_cfg, "ny", int, path, default=8, lowest=1, prefix="mesh."),
+        _number(mesh_cfg, "lx", float, path, default=1.0, prefix="mesh."),
+        _number(mesh_cfg, "ly", float, path, default=1.0, prefix="mesh."),
+        _sides(mesh_cfg),
     )
+    space = FemSpace(build_rect_mesh(*mesh_args)) if mode == "fem" else None
+    spec = ProblemSpec(nu=nu, T=total_t, N=n_steps, space=space,
+                       f=f_fn, h=h_fn, p=p_fn, g=g_fn, v0=v0_fn, sigma0=s0_fn)
 
     # data validation: g >= 0 on a t-sample grid, sigma0 feasible at t = 0
-    if mode == "fem":
-        pts = build_rect_mesh(spec.nx, spec.ny, spec.lx, spec.ly, spec.gamma1).centroids
-    else:
-        pts = np.zeros((1, 2))
+    pts = spec.pts
     for t in np.linspace(0.0, total_t, 17):
         gv = np.asarray(g_fn(float(t), pts), dtype=float)
-        if np.any(gv < 0.0):
+        if (gv < 0.0).any():
             raise ConfigError(f"field 'g': negative yield radius at t={t}")
-    s0 = np.zeros((len(pts), 3)) if s0_fn is None else np.asarray(s0_fn(pts)).reshape(len(pts), 3)
-    slack = tc.yield_slack_arr(s0, np.asarray(p_fn(0.0, pts)), np.asarray(g_fn(0.0, pts)))
-    if np.any(slack < -1e-10):
-        raise ConfigError(f"field 'sigma0': infeasible initial stress (violation {-slack.min():.3e})")
+    initial_state(spec)
 
     study = raw.get("study", {})
     dt_list = [float(v) for v in study.get("dt_list", [])]
@@ -192,9 +189,8 @@ def parse_config(path) -> RunConfig:
 
 def _slack_min(traj: Trajectory, state) -> float:
     spec = traj.spec
-    pts = traj.mesh.centroids if traj.mesh is not None else np.zeros((1, 2))
-    p_n = np.asarray(spec.p(state.t, pts))
-    g_n = np.asarray(spec.g(state.t, pts))
+    p_n = np.asarray(spec.p(state.t, spec.pts))
+    g_n = np.asarray(spec.g(state.t, spec.pts))
     return float(tc.yield_slack_arr(state.sigma, p_n, g_n).min())
 
 

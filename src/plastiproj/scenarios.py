@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .catalog import scalar_fn, tensor_fn, vector_fn
+from .fem2d import FemSpace, build_rect_mesh
 from .stepper import ProblemSpec
 
 # deviatoric loading direction diag(1, -1), packed
@@ -18,7 +19,7 @@ def radial_0d_spec(n_steps: int = 2000, total_time: float = 2.0) -> ProblemSpec:
     grows linearly until its norm reaches the yield radius and then sticks.
     """
     return ProblemSpec(
-        nu=1.0, T=total_time, N=n_steps, mode="0d",
+        nu=1.0, T=total_time, N=n_steps, space=None,
         f=vector_fn("constant", {"value": [0, 0]}),
         h=tensor_fn("radial_deviatoric", {"amplitude": 1.0}),
         p=tensor_fn("constant", {}),
@@ -33,7 +34,7 @@ def growing_yield_0d_spec(n_steps: int = 2000, total_time: float = 4.0) -> Probl
     boundary: sigma(t) = (1+t) diag(1,-1)/sqrt(2).
     """
     return ProblemSpec(
-        nu=1.0, T=total_time, N=n_steps, mode="0d",
+        nu=1.0, T=total_time, N=n_steps, space=None,
         f=vector_fn("constant", {"value": [0, 0]}),
         h=tensor_fn("radial_deviatoric", {"amplitude": 1.0}),
         p=tensor_fn("constant", {}),
@@ -49,12 +50,12 @@ def unit_square_spec(n_steps: int = 200, mesh_n: int = 16,
     constraint activates near the clamped edge well before the final time.
     """
     return ProblemSpec(
-        nu=1.0, T=1.0, N=n_steps, mode="fem",
+        nu=1.0, T=1.0, N=n_steps,
+        space=FemSpace(build_rect_mesh(mesh_n, mesh_n, 1.0, 1.0, ("left",))),
         f=vector_fn("constant", {"value": [0.0, -force]}),
         h=tensor_fn("constant", {}),
         p=tensor_fn("constant", {}),
         g=scalar_fn("constant", {"value": 1.0}),
-        nx=mesh_n, ny=mesh_n, lx=1.0, ly=1.0, gamma1=("left",),
     )
 
 
@@ -68,11 +69,11 @@ def explicit_blowup_spec(n_steps: int = 10) -> ProblemSpec:
     bump = vector_fn("gaussian_bump_in_x",
                      {"value": [1.0, 0.0], "center": [0.5, 0.5], "width": 0.15})
     return ProblemSpec(
-        nu=1e-4, T=1.0, N=n_steps, mode="fem",
+        nu=1e-4, T=1.0, N=n_steps,
+        space=FemSpace(build_rect_mesh(16, 16, 1.0, 1.0, ("left", "right", "top", "bottom"))),
         f=vector_fn("constant", {"value": [0.0, 0.0]}),
         h=tensor_fn("constant", {}),
         p=tensor_fn("constant", {}),
         g=scalar_fn("constant", {"value": 1e9}),
         v0=lambda pts: bump(0.0, pts),
-        nx=16, ny=16, lx=1.0, ly=1.0, gamma1=("left", "right", "top", "bottom"),
     )

@@ -17,10 +17,10 @@ Three step variants share the same stress update and per-element projection:
 All three run through one step kernel, ``_step``; the scheme only picks the
 stress that enters the momentum equation.
 
-Two scenario modes: ``fem`` (P1 velocity / P0 stress on a rectangle) and
-``0d`` (a single stress tensor driven by prescribed data, the pointwise
-sweeping process; the momentum equation is dropped, so there is no strain
-rate and the stress source h alone drives the stress).
+Two scenario modes: ``fem`` (P1 velocity / P0 stress on the spec's
+``FemSpace``) and ``0d`` (no space: a single stress tensor driven by
+prescribed data, the pointwise sweeping process; the momentum equation is
+dropped, so there is no strain rate and the stress source h alone drives it).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
 from . import tensor_core as tc
 from .catalog import ConfigError
@@ -39,7 +38,6 @@ from .fem2d import (
     FemSpace,
     Mesh2D,
     body_load,
-    build_rect_mesh,
     apply_dirichlet,
     stress_load,
     strain_of,
@@ -60,28 +58,24 @@ FP_MAX_ITER = 200
 
 @dataclass
 class ProblemSpec:
-    """All continuous data of one run.
+    """All continuous data of one run, and its discrete space: a ``FemSpace``,
+    or None for the 0d sweeping process.  ``with_steps`` keeps the space, so
+    the runs of a study share its mesh, matrices and cached factors.
 
     Data functions are vectorized: f(t, pts)->(k,2), h/p(t, pts)->(k,3)
-    packed tensors, g(t, pts)->(k,).  In 0d mode they are evaluated at the
-    single dummy point (0, 0).
+    packed tensors, g(t, pts)->(k,), evaluated at ``pts``.
     """
 
     nu: float
     T: float
     N: int
-    mode: str  # "fem" | "0d"
+    space: FemSpace | None
     f: Callable[[float, np.ndarray], np.ndarray]
     h: Callable[[float, np.ndarray], np.ndarray]
     p: Callable[[float, np.ndarray], np.ndarray]
     g: Callable[[float, np.ndarray], np.ndarray]
     v0: Callable[[np.ndarray], np.ndarray] | None = None
     sigma0: Callable[[np.ndarray], np.ndarray] | None = None
-    nx: int = 8
-    ny: int = 8
-    lx: float = 1.0
-    ly: float = 1.0
-    gamma1: tuple[str, ...] = ("left",)
 
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu > 0.0):
@@ -90,8 +84,15 @@ class ProblemSpec:
             raise ValueError("T must be finite and > 0")
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if self.mode not in ("fem", "0d"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+
+    @property
+    def mode(self) -> str:
+        return "0d" if self.space is None else "fem"
+
+    @property
+    def pts(self) -> np.ndarray:
+        """The element centroids, or the single dummy point (0, 0) in 0d mode."""
+        return np.zeros((1, 2)) if self.space is None else self.space.mesh.centroids
 
     @property
     def dt(self) -> float:
@@ -117,8 +118,14 @@ class Trajectory:
     spec: ProblemSpec
     scheme: str
     states: list[SchemeState]
-    mesh: Mesh2D | None = None
-    space: FemSpace | None = None
+
+    @property
+    def space(self) -> FemSpace | None:
+        return self.spec.space
+
+    @property
+    def mesh(self) -> Mesh2D | None:
+        return None if self.space is None else self.space.mesh
 
     @property
     def times(self) -> np.ndarray:
@@ -168,27 +175,22 @@ def time_average(fn, n: int, dt: float, pts: np.ndarray, quad_points: int = 4) -
 
 
 class _Engine:
-    """Per-run context: mesh, matrices, constrained operators.
+    """Per-run context: the spec's space, its sampling points, step matrices.
 
-    A given ``space`` is reused, so an analysis of a finished run builds no
-    second mesh.  The step matrices and their factors are built on first
-    use, so an engine made only for ``initial_state`` or the energy report
-    assembles no step matrix, and a projection run never builds ``a_visc``.
+    The step matrices and their factors are built on first use, so an
+    engine made only for ``initial_state`` or the energy report assembles no
+    step matrix, and a projection run never builds ``a_visc``.
     """
 
-    def __init__(self, spec: ProblemSpec, space: FemSpace | None = None):
+    def __init__(self, spec: ProblemSpec):
         self.spec = spec
-        if spec.mode == "fem":
-            self.space = space or FemSpace(
-                build_rect_mesh(spec.nx, spec.ny, spec.lx, spec.ly, spec.gamma1))
+        self.space = spec.space
+        self.pts = spec.pts
+        if self.space is not None:
             self.mesh = self.space.mesh
-            self.pts = self.mesh.centroids
             self.mask = self.space.mask
         else:
-            self.mesh = None
-            self.space = None
-            self.pts = np.zeros((1, 2))
-            self.mask = None
+            self.mesh = self.mask = None
 
     def _step_matrix(self, visc: float) -> SparseSym:
         """M/dt + visc K with the constrained dofs eliminated."""
@@ -261,10 +263,9 @@ def initial_state(spec: ProblemSpec, engine: _Engine | None = None) -> SchemeSta
     g0 = eng.g_at(0.0)
     slack = tc.yield_slack_arr(s0, eng.p_at(0.0), g0)
     tol = FEASIBILITY_TOL * np.maximum(1.0, g0)
-    if np.any(slack < -tol):
-        raise ValueError(
-            f"initial stress violates the yield constraint by {-slack.min():.3e}"
-        )
+    if (slack < -tol).any():
+        raise ConfigError(f"field 'sigma0': initial stress violates the yield "
+                          f"constraint by {-slack.min():.3e}")
     # the trial stress at step 0 is defined to equal the initial stress
     return SchemeState(n=0, t=0.0, v=v0, sigma_star=s0.copy(), sigma=s0.copy())
 
@@ -289,7 +290,7 @@ def _step(prev: SchemeState, eng: _Engine, n: int, scheme: str) -> SchemeState:
             raise RuntimeError(f"trial stress at step {n} is non-finite")
         return sigma_star, tc.project_constraint_arr(sigma_star, p_n, g_n)
 
-    if eng.spec.mode == "0d":
+    if eng.space is None:
         # no momentum coupling: every scheme is one projection, and the
         # implicit fixed point is reached at once
         return SchemeState(n, t_n, None, *update(None), fp_iters=int(scheme == "implicit"))
@@ -335,8 +336,7 @@ def run(spec: ProblemSpec, scheme: str = "projection") -> Trajectory:
     states = [initial_state(spec, eng)]
     for n in range(1, spec.N + 1):
         states.append(step(states[-1], eng, n))
-    return Trajectory(spec=spec, scheme=scheme, states=states,
-                      mesh=eng.mesh, space=eng.space)
+    return Trajectory(spec=spec, scheme=scheme, states=states)
 
 
 # -- discrete norms ------------------------------------------------------------
@@ -408,18 +408,9 @@ class EnergyReport:
 
 
 def korn_constant(space: FemSpace) -> float:
-    """Largest ratio ||phi||_V / ||E(phi)||_H over the constrained FE space.
-
-    That is sqrt(1 / mu) for the smallest eigenvalue mu of K x = mu G x on
-    the free dofs (K strain stiffness, G H1 Gram), found by shift-invert
-    Lanczos about 0.  The fixed start vector keeps reruns byte-identical.
-    """
-    free = ~space.mask
-    g = space.h1_gram[free][:, free].tocsc()
-    k = space.strain_stiff[free][:, free].tocsc()
-    mu = eigsh(k, k=1, M=g, sigma=0.0, which="LM", v0=np.ones(k.shape[0]),
-               return_eigenvectors=False)
-    return float(math.sqrt(1.0 / mu[0]))
+    """Largest ratio ||phi||_V / ||E(phi)||_H over the constrained FE space,
+    computed once per space (``FemSpace.korn``)."""
+    return space.korn
 
 
 def energy_report(traj: Trajectory) -> EnergyReport:
@@ -435,7 +426,7 @@ def energy_report(traj: Trajectory) -> EnergyReport:
     if traj.space is None:
         raise ValueError("energy report needs a fem-mode trajectory")
     spec, space, mesh = traj.spec, traj.space, traj.mesh
-    eng = _Engine(spec, space)
+    eng = _Engine(spec)
     dt = spec.dt
     areas = mesh.areas
 

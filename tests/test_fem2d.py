@@ -39,6 +39,53 @@ def test_all_clamped_mesh_counts():
     assert tags.count(GAMMA2) == 0
 
 
+def reference_rect_mesh(nx, ny, lx, ly, gamma1):
+    """Nodes, triangles and boundary edges of build_rect_mesh, cell by cell."""
+    gamma1 = {gamma1} if isinstance(gamma1, str) else set(gamma1)
+    xx, yy = np.meshgrid(np.linspace(0.0, lx, nx + 1), np.linspace(0.0, ly, ny + 1))
+    nodes = np.column_stack([xx.ravel(), yy.ravel()])
+
+    def nid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    tris = []
+    for iy in range(ny):
+        for ix in range(nx):
+            n00, n10 = nid(ix, iy), nid(ix + 1, iy)
+            n01, n11 = nid(ix, iy + 1), nid(ix + 1, iy + 1)
+            tris.append((n00, n10, n11))
+            tris.append((n00, n11, n01))
+
+    def tag(side):
+        return GAMMA1 if side in gamma1 else GAMMA2
+
+    edges = []
+    for ix in range(nx):
+        edges.append((nid(ix, 0), nid(ix + 1, 0), tag("bottom")))
+        edges.append((nid(ix, ny), nid(ix + 1, ny), tag("top")))
+    for iy in range(ny):
+        edges.append((nid(0, iy), nid(0, iy + 1), tag("left")))
+        edges.append((nid(nx, iy), nid(nx, iy + 1), tag("right")))
+    return nodes, np.array(tris, dtype=int), edges
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly, gamma1", [
+    (1, 1, 1.0, 1.0, "left"),
+    (1, 1, 1.0, 1.0, ("left", "right", "top", "bottom")),
+    (3, 2, 2.0, 0.5, ("bottom",)),
+    (2, 5, 1.0, 1.0, ("top", "right")),
+    (16, 16, 1.0, 1.0, ("left",)),
+])
+def test_rect_mesh_matches_cell_loop(nx, ny, lx, ly, gamma1):
+    mesh = build_rect_mesh(nx, ny, lx, ly, gamma1)
+    nodes, tris, edges = reference_rect_mesh(nx, ny, lx, ly, gamma1)
+    np.testing.assert_array_equal(mesh.nodes, nodes)
+    assert mesh.triangles.dtype == tris.dtype
+    np.testing.assert_array_equal(mesh.triangles, tris)
+    assert mesh.boundary_edges == edges
+    assert all(type(a) is int and type(b) is int for a, b, _ in mesh.boundary_edges)
+
+
 def test_total_area():
     mesh = build_rect_mesh(1, 1, 2.0, 1.0, "left")
     assert mesh.areas.sum() == pytest.approx(2.0)
@@ -132,7 +179,7 @@ def test_strain_stiffness_matches_element_blocks(n):
     space = FemSpace(build_rect_mesh(n, n, 1.0, 1.0, "left"))
     np.testing.assert_allclose(space.strain_stiff.to_dense(),
                                reference_strain_stiffness(space.mesh), rtol=1e-14)
-    step = stepper._Engine(unit_square_spec(n_steps=4, mesh_n=n), space).a_proj
+    step = stepper._Engine(unit_square_spec(n_steps=4, mesh_n=n)).a_proj
     for a in (space.strain_op, space.strain_stiff, step):
         assert type(a) is SparseSym
         assert a.indptr.dtype == np.int32 and a.indices.dtype == np.int32

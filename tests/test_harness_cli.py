@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from plastiproj import fem2d
 from plastiproj import harness_cli as cli
 from plastiproj import tensor_core as tc
 from plastiproj.catalog import ConfigError
@@ -74,9 +75,10 @@ def test_missing_nu_names_the_field(tmp_path):
     ("mesh.ly", {"mesh": {"ly": 0.0}}),
     ("mesh.gamma1", {"mesh": {"gamma1": ["up"]}}),
     ("mesh.gamma1", {"mesh": {"gamma1": "left"}}),
+    ("mesh.nx", {"mode": "0d", "mesh": {"nx": 0}}),
 ])
 def test_bad_number_exits_two_naming_the_field(tmp_path, capsys, field, overrides):
-    path = write_config(tmp_path, "bad.json", mode="fem", **overrides)
+    path = write_config(tmp_path, "bad.json", **{"mode": "fem", **overrides})
     with pytest.raises(ConfigError, match=f"field '{field}'"):
         cli.parse_config(path)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -111,6 +113,22 @@ def test_infeasible_sigma0_rejected(tmp_path):
     )
     with pytest.raises(ConfigError, match="sigma0"):
         cli.parse_config(path)
+
+
+@pytest.mark.parametrize("g, a, code", [
+    # on the yield surface up to rounding: within the stepper's relative tolerance
+    (1e6, 1e6 / math.sqrt(2.0) * (1.0 + 2e-15), 0),
+    (1.0, 2.0, 2),
+], ids=["on_surface", "infeasible"])
+def test_sigma0_feasibility_follows_the_stepper(tmp_path, capsys, g, a, code):
+    path = write_config(
+        tmp_path, "s0.json", N=2, h={"name": "constant", "params": {}},
+        g={"name": "constant", "params": {"value": g}},
+        sigma0={"name": "constant", "params": {"value": [a, 0.0, -a]}},
+    )
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert ("field 'sigma0'" in err) == (code == 2)
 
 
 def test_reference_must_be_finer(tmp_path):
@@ -206,6 +224,32 @@ def test_stability_rest_state_rows_zero(tmp_path):
         for key in ("gap_v", "gap_sigma", "linf_H_vbar", "linf_H_sigma"):
             assert rep[key] == pytest.approx(0.0, abs=1e-12)
         assert rep["energy_ok"]
+
+
+def test_stability_study_builds_one_space(tmp_path, monkeypatch):
+    spaces = []
+    eigensolves = []
+    real_init, real_eigsh = fem2d.FemSpace.__init__, fem2d.eigsh
+
+    def counting_init(self, mesh):
+        spaces.append(self)
+        real_init(self, mesh)
+
+    def counting_eigsh(*args, **kwargs):
+        eigensolves.append(1)
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(fem2d.FemSpace, "__init__", counting_init)
+    monkeypatch.setattr(fem2d, "eigsh", counting_eigsh)
+    path = write_config(
+        tmp_path, "two_dt.json", mode="fem", T=1.0, N=4, mesh={"nx": 3, "ny": 3},
+        f={"name": "constant", "params": {"value": [0.0, -8.0]}},
+        study={"dt_list": [1.0, 0.5]},
+    )
+    reports = cli.cmd_stability(cli.parse_config(path), tmp_path / "out")
+    assert len(reports) == 2
+    assert len(spaces) == 1
+    assert len(eigensolves) == 1
 
 
 def test_convergence_study_0d(tmp_path):

@@ -54,10 +54,16 @@ def test_problem_spec_validation():
         replace(good, T=float("inf"))
     with pytest.raises(ValueError):
         replace(good, N=0)
-    with pytest.raises(ValueError):
-        replace(good, mode="3d")
     assert good.with_steps(17).N == 17
     assert good.with_steps(17).dt == pytest.approx(good.T / 17)
+
+
+def test_with_steps_shares_the_space():
+    spec = small_fem_spec()
+    assert spec.mode == "fem"
+    assert spec.with_steps(7).space is spec.space
+    assert spec.with_steps(7).pts is spec.space.mesh.centroids
+    assert radial_0d_spec().mode == "0d"
 
 
 def test_initial_state_rejects_infeasible_sigma0():
@@ -248,14 +254,12 @@ def test_growing_yield_0d_closed_form_at_grid_nodes():
 
 
 def _manual_trajectory(spec, states):
-    eng = stepper._Engine(spec)
-    return Trajectory(spec=spec, scheme="projection", states=states,
-                      mesh=eng.mesh, space=eng.space)
+    return Trajectory(spec=spec, scheme="projection", states=states)
 
 
 def test_discrete_norms_constant_trajectory():
     spec = small_fem_spec(N=3)
-    mesh = build_rect_mesh(spec.nx, spec.ny, spec.lx, spec.ly, spec.gamma1)
+    mesh = spec.space.mesh
     v = np.where(mesh.dirichlet_mask(), 0.0, 1.0)
     sig = np.tile([0.3, 0.1, -0.3], (mesh.n_elements, 1))
     states = [SchemeState(n=k, t=k * spec.dt, v=v.copy(), sigma_star=sig.copy(),
@@ -272,7 +276,7 @@ def test_discrete_norms_constant_trajectory():
 
 def test_discrete_norms_single_step_gap():
     spec = small_fem_spec(N=1)
-    mesh = build_rect_mesh(spec.nx, spec.ny, spec.lx, spec.ly, spec.gamma1)
+    mesh = spec.space.mesh
     space = FemSpace(mesh)
     v1 = np.where(mesh.dirichlet_mask(), 0.0, 1.0)
     v1 /= space.l2_norm(v1)  # normalize ||v_1||_H = 1

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` replaces functions where the package's modules look
 them up (``stepper.cg_solve``, ``fem2d.spmv``, ``FemSpace.dual_norm``, ...),
 so renaming or dropping one of those names breaks ``--trace 1`` with a
-KeyError.  Its per-step metrics count the ``stepper.step`` spans whose parent
+KeyError, and each replaced name must hold a wrapper of the package's own
+function.  Its per-step metrics count the ``stepper.step`` spans whose parent
 is a ``stepper.run`` span, so ``run`` must call the step functions by their
 module names, once per step.  ``install`` patches modules for the life of the
 process, hence the subprocess.
@@ -20,8 +21,26 @@ SCRIPT = """
 import json, sys, tempfile
 sys.path[:0] = [{src!r}, {bench!r}]
 import spans
+from plastiproj import fem2d, harness_cli, stepper, tensor_core, verify, yield_charts
+owners = {{"fem2d": fem2d, "harness_cli": harness_cli, "stepper": stepper,
+          "tensor_core": tensor_core, "verify": verify, "yield_charts": yield_charts,
+          "FemSpace": fem2d.FemSpace, "SymMat": tensor_core.SymMat}}
+before = {{key: dict(vars(owner)) for key, owner in owners.items()}}
 tracer = spans.Tracer()
 spans.install(tracer)
+
+def inner(obj):
+    return getattr(obj, "__func__", obj)
+
+# every replaced name must now hold a wrapper of what it held before
+wrapped = {{}}
+for key, owner in owners.items():
+    for attr, value in vars(owner).items():
+        if value is not before[key].get(attr):
+            old = before[key].get(attr)
+            wrapped[key + "." + attr] = (
+                old is not None
+                and getattr(inner(value), "__wrapped__", None) is inner(old))
 
 from plastiproj import harness_cli as cli
 
@@ -49,6 +68,8 @@ print(json.dumps({{
                       for r in runs],
     "steps": names.count("stepper.step"),
     "spaces": names.count("fem2d.FemSpace"),
+    "configs": names.count("harness_cli.parse_config"),
+    "wrapped": wrapped,
 }}))
 """
 
@@ -62,5 +83,11 @@ def test_trace_hooks_install():
     # one stepper.step span per step, each a child of its stepper.run span
     assert seen["steps_per_run"] == seen["expected_steps"]
     assert seen["steps"] == sum(seen["expected_steps"])
-    # one FemSpace per run: the analysis reuses the run's space
-    assert seen["spaces"] == len(seen["expected_steps"])
+    # one FemSpace per parsed config: its runs and their analysis share it
+    assert seen["configs"] == 3
+    assert seen["spaces"] == seen["configs"]
+    # each name install replaces resolves to a wrapper of the package's function
+    assert all(seen["wrapped"].values()), seen["wrapped"]
+    for name in ("harness_cli.parse_config", "harness_cli._slack_min",
+                 "stepper.korn_constant", "FemSpace.__init__", "SymMat.from_matrix"):
+        assert name in seen["wrapped"]
