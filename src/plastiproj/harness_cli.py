@@ -113,6 +113,24 @@ def _build_fn(obj, role: str, builder, where: str):
     return builder(obj["name"], obj.get("params", {}))
 
 
+def _dt_list(raw, total_t: float) -> list[float]:
+    """``study.dt_list``: each dt finite, > 0 and a divisor of T.
+
+    A study runs N = round(T / dt) steps, so a dt that does not divide T
+    would silently become T / N.
+    """
+    try:
+        dts = [float(v) for v in raw]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field 'study.dt_list': expected a list of numbers, got {raw!r}") from exc
+    for dt in dts:
+        n = total_t / dt if dt > 0.0 else math.nan
+        if not (math.isfinite(n) and abs(round(n) * dt - total_t) <= 1e-9 * total_t):
+            raise ConfigError(f"field 'study.dt_list': each dt must be > 0 and divide "
+                              f"T = {total_t!r}, got {dt!r}")
+    return dts
+
+
 def parse_config(path) -> RunConfig:
     try:
         with open(path) as fh:
@@ -154,7 +172,12 @@ def parse_config(path) -> RunConfig:
         _number(mesh_cfg, "ly", float, path, default=1.0, prefix="mesh."),
         _sides(mesh_cfg),
     )
-    space = FemSpace(build_rect_mesh(*mesh_args)) if mode == "fem" else None
+    space = None
+    if mode == "fem":
+        try:
+            space = FemSpace(build_rect_mesh(*mesh_args))
+        except ValueError as exc:  # e.g. element areas that underflow to 0
+            raise ConfigError(f"field 'mesh': {exc}") from exc
     spec = ProblemSpec(nu=nu, T=total_t, N=n_steps, space=space,
                        f=f_fn, h=h_fn, p=p_fn, g=g_fn, v0=v0_fn, sigma0=s0_fn)
 
@@ -167,7 +190,7 @@ def parse_config(path) -> RunConfig:
     initial_state(spec)
 
     study = raw.get("study", {})
-    dt_list = [float(v) for v in study.get("dt_list", [])]
+    dt_list = _dt_list(study.get("dt_list", []), total_t)
     if dt_list and any(b >= a for a, b in zip(dt_list, dt_list[1:])):
         raise ConfigError("field 'study.dt_list': must be strictly decreasing")
     ref_n = int(study.get("ref_N", 0))

@@ -5,7 +5,11 @@ Conventions
 * A :class:`SymMat` stores only the upper triangle of a d x d symmetric
   matrix, row-major: ``(0,0),(0,1),(1,1)`` for d=2 and
   ``(0,0),(0,1),(0,2),(1,1),(1,2),(2,2)`` for d=3.  Packed element arrays
-  (the ``*_arr`` functions, d=2 only) use the same component order.
+  (the ``*_arr`` functions, d=2 only) use the same component order.  The
+  scalar SymMat API is the reference that the array kernels are tested
+  against.
+* The ``*_stack`` functions work on stacks of full matrices, shape
+  (..., d, d), for d = 2 and 3; the oracle suites and charts use them.
 * ``frob_inner`` is the full-matrix double contraction A:B, so off-diagonal
   entries count TWICE.  Every norm in this package follows that convention;
   it is a classic bug source when mixing with engineering (Voigt) notation.
@@ -131,14 +135,6 @@ def frob_norm(a: SymMat) -> float:
     return math.sqrt(frob_inner(a, a))
 
 
-def phi_cap(a: SymMat) -> SymMat:
-    """Radial cutoff to the unit Frobenius ball: a if |a| <= 1 else a/|a|."""
-    n = frob_norm(a)
-    if n <= 1.0:
-        return a
-    return a * (1.0 / n)
-
-
 def proj_dev_ball(a: SymMat, radius: float) -> SymMat:
     """Nearest point of {s : |s^D| <= radius} in the Frobenius metric.
 
@@ -215,3 +211,40 @@ def project_constraint_arr(sigma: np.ndarray, p: np.ndarray, g: np.ndarray) -> n
 def yield_slack_arr(sigma: np.ndarray, p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """g - |(sigma+p)^D| per element; nonnegative means feasible."""
     return np.asarray(g, dtype=float) - frob_norm_arr(deviator_arr(sigma + p))
+
+
+# -- stacked full matrices, shape (..., d, d) ----------------------------------
+
+
+def rand_sym_stack(rng: np.random.Generator, n: int, d: int, scale: float = 3.0) -> np.ndarray:
+    """n random symmetric matrices, the symmetric parts of scale * N(0, 1) draws."""
+    a = scale * rng.standard_normal((n, d, d))
+    return 0.5 * (a + a.transpose(0, 2, 1))
+
+
+def trace_stack(a: np.ndarray) -> np.ndarray:
+    return np.einsum("...ii->...", a)
+
+
+def deviator_stack(a: np.ndarray) -> np.ndarray:
+    d = a.shape[-1]
+    return a - (trace_stack(a) / d)[..., None, None] * np.eye(d)
+
+
+def frob_inner_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...ij->...", a, b)
+
+
+def frob_norm_stack(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(frob_inner_stack(a, a))
+
+
+def proj_dev_ball_stack(a: np.ndarray, radius) -> np.ndarray:
+    """proj_dev_ball of every matrix in a stack; radius broadcasts against it."""
+    d = a.shape[-1]
+    sph = (trace_stack(a) / d)[..., None, None] * np.eye(d)
+    dev = a - sph
+    nd = frob_norm_stack(dev)
+    # divides only where nd > radius >= 0, so never by zero
+    scale = np.divide(radius, nd, out=np.ones_like(nd), where=nd > radius)
+    return sph + scale[..., None, None] * dev

@@ -14,7 +14,15 @@ import numpy as np
 
 from . import tensor_core as tc
 from . import yield_charts as yc
-from .tensor_core import SymMat
+from .tensor_core import (
+    SymMat,
+    deviator_stack,
+    frob_inner_stack,
+    frob_norm_stack,
+    proj_dev_ball_stack,
+    rand_sym_stack,
+    trace_stack,
+)
 
 
 @dataclass
@@ -22,48 +30,10 @@ class SuiteResult:
     name: str
     max_violation: float
     tol: float
-    gating: bool = True
 
     @property
     def passed(self) -> bool:
         return self.max_violation <= self.tol
-
-
-# -- vectorized full-matrix helpers (shape (n, d, d)) -------------------------
-
-
-def _rand_sym(rng: np.random.Generator, n: int, d: int, scale: float = 3.0) -> np.ndarray:
-    a = scale * rng.standard_normal((n, d, d))
-    return 0.5 * (a + a.transpose(0, 2, 1))
-
-
-def _tr(a):
-    return np.einsum("nii->n", a)
-
-
-def _dev(a):
-    d = a.shape[-1]
-    return a - (_tr(a) / d)[:, None, None] * np.eye(d)
-
-
-def _inner(a, b):
-    return np.einsum("nij,nij->n", a, b)
-
-
-def _norm(a):
-    return np.sqrt(_inner(a, a))
-
-
-def _proj(a, r):
-    """Reference deviatoric-ball projection on stacked matrices."""
-    d = a.shape[-1]
-    sph = (_tr(a) / d)[:, None, None] * np.eye(d)
-    dev = a - sph
-    nd = _norm(dev)
-    scale = np.ones_like(nd)
-    over = nd > r
-    scale[over] = r[over] / nd[over]
-    return sph + scale[:, None, None] * dev
 
 
 def proj_prop_suite(d: int, n_samples: int, seed: int) -> list[SuiteResult]:
@@ -75,30 +45,32 @@ def proj_prop_suite(d: int, n_samples: int, seed: int) -> list[SuiteResult]:
     scalar SymMat API so both code paths are exercised.
     """
     rng = np.random.default_rng(seed)
-    a = _rand_sym(rng, n_samples, d)
-    b = _rand_sym(rng, n_samples, d)
+    a = rand_sym_stack(rng, n_samples, d)
+    b = rand_sym_stack(rng, n_samples, d)
     r = 2.0 * rng.random(n_samples)
     r1 = 2.0 * rng.random(n_samples)
     r2 = 2.0 * rng.random(n_samples)
 
-    dev = _dev(a)
+    dev = deviator_stack(a)
     sph = a - dev
     # (i): identity orthogonal to deviators, and the Pythagorean norm split
-    vi = np.abs(np.einsum("nij,ij->n", dev, np.eye(d)))
-    pa = _proj(a, r)
-    split = np.abs(_norm(pa) ** 2 - (_norm(sph) ** 2 + _norm(pa - sph) ** 2))
-    scale_i = np.maximum(1.0, _norm(a) ** 2)
+    vi = np.abs(trace_stack(dev))
+    pa = proj_dev_ball_stack(a, r)
+    split = np.abs(frob_norm_stack(pa) ** 2
+                   - (frob_norm_stack(sph) ** 2 + frob_norm_stack(pa - sph) ** 2))
+    scale_i = np.maximum(1.0, frob_norm_stack(a) ** 2)
     v1 = max(vi.max(), (split / scale_i).max())
 
     # (ii): |P_{r1}(a) - P_{r2}(a)| <= |r1 - r2|
-    v2 = (_norm(_proj(a, r1) - _proj(a, r2)) - np.abs(r1 - r2)).max()
+    v2 = (frob_norm_stack(proj_dev_ball_stack(a, r1) - proj_dev_ball_stack(a, r2))
+          - np.abs(r1 - r2)).max()
 
     # (iii): (P_r(a) - a, P_r(a) - b) <= 0 for b with |b^D| <= r
-    b_in = _proj(b, r)  # pull b into the constraint set
-    v3 = _inner(pa - a, pa - b_in).max()
+    b_in = proj_dev_ball_stack(b, r)  # pull b into the constraint set
+    v3 = frob_inner_stack(pa - a, pa - b_in).max()
 
     # (iv): |P_r(a) - P_r(b)| <= |a - b|
-    v4 = (_norm(pa - _proj(b, r)) - _norm(a - b)).max()
+    v4 = (frob_norm_stack(pa - proj_dev_ball_stack(b, r)) - frob_norm_stack(a - b)).max()
 
     # scalar-path cross-check on a handful of cases
     xc = 0.0
@@ -120,42 +92,35 @@ def proj_prop_suite(d: int, n_samples: int, seed: int) -> list[SuiteResult]:
 def chart_suite(d: int, n_samples: int, seed: int) -> list[SuiteResult]:
     """Isometry, range orthogonality, decomposition round trip, membership."""
     rng = np.random.default_rng(seed)
-    basis = yc.dev_basis(d)
     lam = 3.0 * rng.standard_normal(n_samples)
     xs = 3.0 * rng.standard_normal((n_samples, d * d - 1))
-    mats1 = (lam[:, None, None] / math.sqrt(d)) * np.eye(d)
-    mats2 = np.einsum("nk,kij->nij", xs, basis)
+    mats1 = yc.psi1(lam, d)
+    mats2 = yc.psi2(xs, d)
+    x_norm = np.linalg.norm(xs, axis=1)
 
     iso = np.maximum(
-        np.abs(_norm(mats1) - np.abs(lam)) / np.maximum(1.0, np.abs(lam)),
-        np.abs(_norm(mats2) - np.linalg.norm(xs, axis=1)) / np.maximum(1.0, np.linalg.norm(xs, axis=1)),
+        np.abs(frob_norm_stack(mats1) - np.abs(lam)) / np.maximum(1.0, np.abs(lam)),
+        np.abs(frob_norm_stack(mats2) - x_norm) / np.maximum(1.0, x_norm),
     ).max()
-    orth = (np.abs(_inner(mats1, mats2)) / np.maximum(1.0, np.abs(lam) * np.linalg.norm(xs, axis=1))).max()
+    orth = (np.abs(frob_inner_stack(mats1, mats2)) / np.maximum(1.0, np.abs(lam) * x_norm)).max()
 
     full = 3.0 * rng.standard_normal((n_samples, d, d))
-    rt = 0.0
-    for k in range(n_samples):
-        c = yc.decompose(full[k])
-        rec = yc.psi1(c.lam, d).to_matrix() + yc.psi2(c.x, d)
-        rt = max(rt, float(np.abs(rec - full[k]).max() / max(1.0, np.abs(full[k]).max())))
+    lam_f, x_f = yc.decompose(full)
+    err = np.abs(yc.psi1(lam_f, d) + yc.psi2(x_f, d) - full).max(axis=(1, 2))
+    rt = (err / np.maximum(1.0, np.abs(full).max(axis=(1, 2)))).max()
 
-    sym = _rand_sym(rng, n_samples, d)
+    sym = rand_sym_stack(rng, n_samples, d)
     radii = 2.0 * rng.random(n_samples)
-    agree = 0.0
-    for k in range(n_samples):
-        am = SymMat.from_matrix(sym[k])
-        via_chart = yc.kr_contains_via_chart(am, float(radii[k]))
-        direct = tc.membership(am, SymMat.zero(d), float(radii[k]), tol=0.0)
-        if via_chart != direct:
-            # only a disagreement wider than roundoff slack counts
-            gap = abs(tc.frob_norm(tc.deviator(am)) - radii[k])
-            agree = max(agree, gap)
+    dev_norm = frob_norm_stack(deviator_stack(sym))
+    differ = yc.kr_contains_via_chart(sym, radii) != (dev_norm <= radii)
+    # only a disagreement wider than roundoff slack counts
+    agree = np.abs(dev_norm - radii)[differ].max(initial=0.0)
 
     return [
         SuiteResult(f"chart_isometry_d{d}", float(iso), 1e-12),
         SuiteResult(f"chart_orthogonality_d{d}", float(orth), 1e-12),
-        SuiteResult(f"chart_roundtrip_d{d}", rt, 1e-12),
-        SuiteResult(f"chart_membership_agree_d{d}", agree, 1e-12),
+        SuiteResult(f"chart_roundtrip_d{d}", float(rt), 1e-12),
+        SuiteResult(f"chart_membership_agree_d{d}", float(agree), 1e-12),
     ]
 
 
@@ -164,10 +129,9 @@ def oracle_suite(n_cases: int, n_samples: int, seed: int) -> list[SuiteResult]:
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for k in range(n_cases):
-        f = SymMat.from_matrix(0.5 * (lambda m: m + m.T)(3.0 * rng.standard_normal((2, 2))))
+        f = rand_sym_stack(rng, 1, 2)[0]
         radius = 2.0 * rng.random()
-        proj = tc.proj_dev_ball(f, radius)
-        d_proj = tc.frob_norm(proj - f)
+        d_proj = float(frob_norm_stack(proj_dev_ball_stack(f, radius) - f))
         _, d_best = yc.argmin_oracle(f, radius, n_samples, seed=seed + 1000 + k)
         worst = max(worst, d_proj - d_best)
     return [SuiteResult("projection_argmin_oracle", worst, 1e-12)]
@@ -178,16 +142,13 @@ def vi_suite(n_setups: int, n_witnesses: int, seed: int, d: int = 2) -> list[Sui
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for k in range(n_setups):
-        sig_a = SymMat.from_matrix(_rand_sym(rng, 1, d, scale=1.0)[0])
-        strain = SymMat.from_matrix(_rand_sym(rng, 1, d, scale=1.0)[0])
-        h = SymMat.from_matrix(_rand_sym(rng, 1, d, scale=1.0)[0])
-        p = SymMat.from_matrix(_rand_sym(rng, 1, d, scale=1.0)[0])
+        sig_a, strain, h, p = (rand_sym_stack(rng, 1, d, scale=1.0)[0] for _ in range(4))
         g = 2.0 * rng.random()
         dt = 10.0 ** rng.uniform(-3, 1)
-        rep = yc.inclusion_equivalence_check(
+        violation = yc.inclusion_equivalence_check(
             sig_a, strain, h, p, g, dt, n_witnesses, seed=seed + 5000 + k
         )
-        worst = max(worst, rep.max_violation)
+        worst = max(worst, violation)
     return [SuiteResult("stress_update_vi", worst, 1e-10)]
 
 

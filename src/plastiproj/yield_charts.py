@@ -25,33 +25,16 @@ These charts back two independent checks of the closed-form projection in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor_core import (
-    SymMat,
-    frob_inner,
-    frob_norm,
-    project_constraint,
-    trace,
+    deviator_stack,
+    frob_inner_stack,
+    frob_norm_stack,
+    proj_dev_ball_stack,
+    trace_stack,
 )
-
-
-@dataclass(frozen=True)
-class DevCoords:
-    """Chart coordinates: spherical lam plus d^2-1 deviatoric coordinates.
-
-    x is laid out as the d-1 diagonal coefficients a_i followed by the
-    off-diagonal entries b_ij for i != j in row-major (i, j) order.
-    """
-
-    lam: float
-    x: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(round(math.sqrt(len(self.x) + 1)))
 
 
 def _offdiag_pairs(d: int) -> list[tuple[int, int]]:
@@ -59,7 +42,12 @@ def _offdiag_pairs(d: int) -> list[tuple[int, int]]:
 
 
 def dev_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of the trace-free matrices, shape (d*d-1, d, d)."""
+    """Orthonormal basis of the trace-free matrices, shape (d*d-1, d, d).
+
+    Chart coordinates x are laid out as the d-1 diagonal coefficients a_i
+    followed by the off-diagonal entries b_ij for i != j in row-major (i, j)
+    order.
+    """
     mats = []
     for i in range(1, d):
         e = np.zeros((d, d))
@@ -74,35 +62,36 @@ def dev_basis(d: int) -> np.ndarray:
     return np.stack(mats)
 
 
-def psi1(lam: float, d: int) -> SymMat:
-    """Spherical chart, (lam/sqrt(d)) * identity; an isometry of R."""
-    return (lam / math.sqrt(d)) * SymMat.identity(d)
+def psi1(lam, d: int) -> np.ndarray:
+    """Spherical chart, (lam/sqrt(d)) * identity per entry of lam; an isometry of R."""
+    lam = np.asarray(lam, dtype=float)
+    return (lam[..., None, None] / math.sqrt(d)) * np.eye(d)
 
 
-def psi2(x: np.ndarray, d: int) -> np.ndarray:
+def psi2(x, d: int) -> np.ndarray:
     """Deviatoric chart; maps R^{d*d-1} isometrically onto trace-free matrices."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (d * d - 1,):
+    if x.shape[-1:] != (d * d - 1,):
         raise ValueError(f"expected {d * d - 1} coordinates, got shape {x.shape}")
-    return np.einsum("k,kij->ij", x, dev_basis(d))
+    return np.einsum("...k,kij->...ij", x, dev_basis(d))
 
 
-def decompose(a: np.ndarray) -> DevCoords:
-    """Unique chart coordinates of any d x d matrix."""
+def decompose(a) -> tuple[np.ndarray, np.ndarray]:
+    """Unique chart coordinates (lam, x) of each matrix in a (..., d, d) stack."""
     a = np.asarray(a, dtype=float)
-    d = a.shape[0]
-    lam = np.trace(a) / math.sqrt(d)
-    dev = a - (np.trace(a) / d) * np.eye(d)
-    x = np.einsum("kij,ij->k", dev_basis(d), dev)
-    return DevCoords(lam=float(lam), x=x)
+    d = a.shape[-1]
+    x = np.einsum("kij,...ij->...k", dev_basis(d), deviator_stack(a))
+    return trace_stack(a) / math.sqrt(d), x
 
 
-def kr_contains_via_chart(a: SymMat, radius: float) -> bool:
-    """Membership in {A : |A^D| <= radius}, decided in chart coordinates."""
-    if radius < 0.0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    coords = decompose(a.to_matrix())
-    return float(np.linalg.norm(coords.x)) <= radius
+def kr_contains_via_chart(a, radius) -> np.ndarray:
+    """Membership in {A : |A^D| <= radius} of each matrix in a stack, decided
+    in chart coordinates."""
+    radius = np.asarray(radius, dtype=float)
+    if (radius < 0.0).any():
+        raise ValueError("radius must be >= 0 everywhere")
+    _, x = decompose(a)
+    return np.linalg.norm(x, axis=-1) <= radius
 
 
 def _ball_samples(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
@@ -116,9 +105,10 @@ def _ball_samples(rng: np.random.Generator, n: int, dim: int, radius: float) -> 
 
 
 def argmin_oracle(
-    f: SymMat, radius: float, n_samples: int, seed: int
+    f: np.ndarray, radius: float, n_samples: int, seed: int
 ) -> tuple[np.ndarray, float]:
-    """Brute-force nearest point to f over chart samples of the constraint set.
+    """Brute-force nearest point to the d x d matrix f over chart samples of
+    the constraint set.
 
     lam is drawn from a uniform 101-point grid on
     [tr f/sqrt(d) - 2|f|, tr f/sqrt(d) + 2|f|] (the true minimizer's lam is
@@ -129,36 +119,41 @@ def argmin_oracle(
         raise ValueError(f"radius must be >= 0, got {radius}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    d = f.dim
+    d = f.shape[-1]
     rng = np.random.default_rng(seed)
-    center = trace(f) / math.sqrt(d)
-    half = 2.0 * max(frob_norm(f), 1e-12)
+    center = trace_stack(f) / math.sqrt(d)
+    half = 2.0 * max(float(frob_norm_stack(f)), 1e-12)
     lam_grid = np.linspace(center - half, center + half, 101)
     lam = lam_grid[rng.integers(0, len(lam_grid), size=n_samples)]
     xs = _ball_samples(rng, n_samples, d * d - 1, radius)
 
-    basis = dev_basis(d)
-    mats = (lam[:, None, None] / math.sqrt(d)) * np.eye(d) + np.einsum(
-        "nk,kij->nij", xs, basis
-    )
-    diff = mats - f.to_matrix()
-    dists = np.sqrt(np.einsum("nij,nij->n", diff, diff))
+    mats = psi1(lam, d) + psi2(xs, d)
+    dists = frob_norm_stack(mats - f)
     best = int(np.argmin(dists))
     return mats[best], float(dists[best])
 
 
+def _chart_index(d: int) -> list[int]:
+    """For each chart coordinate, its index among the symmetric coordinates:
+    the d-1 diagonal coefficients, then one value per upper off-diagonal pair
+    (b_ij = b_ji)."""
+    upper = [(i, j) for i, j in _offdiag_pairs(d) if i < j]
+    return list(range(d - 1)) + [
+        d - 1 + upper.index((min(i, j), max(i, j))) for i, j in _offdiag_pairs(d)
+    ]
+
+
 def sample_constraint_set(
-    rng: np.random.Generator, n: int, p: SymMat, g: float, lam_scale: float
-) -> list[SymMat]:
-    """Random symmetric witnesses tau with |(tau+p)^D| <= g.
+    rng: np.random.Generator, n: int, p: np.ndarray, g: float, lam_scale: float
+) -> np.ndarray:
+    """n random symmetric witnesses tau with |(tau+p)^D| <= g, shape (n, d, d).
 
     Sampled through the chart with paired off-diagonal coordinates
     (b_ij = b_ji), then shifted by -p.
     """
-    d = p.dim
+    d = p.shape[-1]
     # independent coordinates of the symmetric trace-free subspace
     m = d * (d + 1) // 2 - 1
-    out = []
     lam = lam_scale * rng.standard_normal(n)
     coords = rng.standard_normal((n, m))
     # chart norm of a symmetric deviator with paired entries c: a-part counts
@@ -167,58 +162,34 @@ def sample_constraint_set(
     weights[d - 1 :] = 2.0
     norms = np.sqrt((coords**2 * weights).sum(axis=1))
     radii = g * rng.random(n) ** (1.0 / m)
-    basis = dev_basis(d)
-    pairs = _offdiag_pairs(d)
-    for k in range(n):
-        c = coords[k] * (radii[k] / max(norms[k], 1e-300))
-        x = np.zeros(d * d - 1)
-        x[: d - 1] = c[: d - 1]
-        # paired off-diagonals: same value in the (i,j) and (j,i) slots
-        upper = [(i, j) for i, j in pairs if i < j]
-        for idx, (i, j) in enumerate(upper):
-            v = c[d - 1 + idx]
-            x[d - 1 + pairs.index((i, j))] = v
-            x[d - 1 + pairs.index((j, i))] = v
-        mat = psi1(lam[k], d).to_matrix() + np.einsum("k,kij->ij", x, basis)
-        out.append(SymMat.from_matrix(mat) - p)
-    return out
-
-
-@dataclass(frozen=True)
-class InclusionReport:
-    sigma_b: SymMat
-    max_violation: float
-    n_witnesses: int
+    c = coords * (radii / np.maximum(norms, 1e-300))[:, None]
+    return psi1(lam, d) + psi2(c[:, _chart_index(d)], d) - p
 
 
 def inclusion_equivalence_check(
-    sigma_a: SymMat,
-    v_strain: SymMat,
-    h: SymMat,
-    p: SymMat,
+    sigma_a: np.ndarray,
+    v_strain: np.ndarray,
+    h: np.ndarray,
+    p: np.ndarray,
     g: float,
     dt: float,
     n_witnesses: int,
     seed: int,
-) -> InclusionReport:
+) -> float:
     """Check the projected stress update against its variational inequality.
 
     sigma_b is computed by the projection formula from the trial stress
-    F = sigma_a + dt*(v_strain + h); the report carries the largest value of
-    (F - sigma_b, tau - sigma_b) over random witnesses tau in the shifted
-    constraint set, which must be <= 0 up to roundoff.
+    F = sigma_a + dt*(v_strain + h), all d x d matrices; returns the largest
+    value of (F - sigma_b, tau - sigma_b) over random witnesses tau in the
+    shifted constraint set, which must be <= 0 up to roundoff.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if g < 0.0:
         raise ValueError(f"g must be >= 0, got {g}")
     f_trial = sigma_a + dt * (v_strain + h)
-    sigma_b = project_constraint(f_trial, p, g)
+    sigma_b = proj_dev_ball_stack(f_trial + p, g) - p
     rng = np.random.default_rng(seed)
-    lam_scale = 1.0 + frob_norm(f_trial)
-    worst = -math.inf
-    for tau in sample_constraint_set(rng, n_witnesses, p, g, lam_scale):
-        v = frob_inner(f_trial - sigma_b, tau - sigma_b)
-        if v > worst:
-            worst = v
-    return InclusionReport(sigma_b=sigma_b, max_violation=worst, n_witnesses=n_witnesses)
+    lam_scale = 1.0 + float(frob_norm_stack(f_trial))
+    taus = sample_constraint_set(rng, n_witnesses, p, g, lam_scale)
+    return float(frob_inner_stack(f_trial - sigma_b, taus - sigma_b).max(initial=-math.inf))

@@ -76,6 +76,11 @@ def test_missing_nu_names_the_field(tmp_path):
     ("mesh.gamma1", {"mesh": {"gamma1": ["up"]}}),
     ("mesh.gamma1", {"mesh": {"gamma1": "left"}}),
     ("mesh.nx", {"mode": "0d", "mesh": {"nx": 0}}),
+    # element areas underflow to 0
+    ("mesh", {"mesh": {"nx": 2, "ny": 2, "lx": 1e-200, "ly": 1e-200}}),
+    # round(T / dt) would silently run dt = 1/3 and 1/7
+    ("study.dt_list", {"study": {"dt_list": [0.3, 0.15]}}),
+    ("study.dt_list", {"study": {"dt_list": [0.5, 0.0]}}),
 ])
 def test_bad_number_exits_two_naming_the_field(tmp_path, capsys, field, overrides):
     path = write_config(tmp_path, "bad.json", **{"mode": "fem", **overrides})
@@ -273,7 +278,7 @@ def test_convergence_study_0d(tmp_path):
 def test_convergence_requires_nested_reference(tmp_path, monkeypatch):
     path = write_config(
         tmp_path, "conv.json", T=1.0, N=10,
-        study={"dt_list": [0.15], "ref_N": 100},
+        study={"dt_list": [0.125], "ref_N": 100},
     )
     cfg = cli.parse_config(path)
 
@@ -281,7 +286,7 @@ def test_convergence_requires_nested_reference(tmp_path, monkeypatch):
         raise AssertionError("the nesting check must come before any run")
 
     monkeypatch.setattr(cli, "run", no_run)
-    # N = round(1 / 0.15) = 7 does not divide 100
+    # N = 1 / 0.125 = 8 does not divide 100
     with pytest.raises(ConfigError, match="multiple"):
         cli.cmd_convergence(cfg, tmp_path / "out")
 
@@ -503,7 +508,7 @@ def test_fuzzed_config_exit_code(command, mode, scheme, nu, total_t, n_steps, nx
            "f": {"name": "constant", "params": {"value": [0.0, -1.0]}},
            "h": {"name": "radial_deviatoric", "params": {"amplitude": 1.0}},
            "g": {"name": "linear_in_t", "params": {"base": base, "slope": slope}},
-           "study": {"dt_list": [0.5, 0.25]}}
+           "study": {"dt_list": [total_t / 2, total_t / 4]}}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.json")
         with open(path, "w") as fh:

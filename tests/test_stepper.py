@@ -224,8 +224,8 @@ def test_step_variational_inequality_witnesses():
         for _ in range(20):
             tau = np.empty((m, 3))
             for e in range(m):
-                w = yc.sample_constraint_set(rng, 1, tc.SymMat.zero(2), float(g_n[e]), 2.0)[0]
-                tau[e] = w.upper
+                w = yc.sample_constraint_set(rng, 1, np.zeros((2, 2)), float(g_n[e]), 2.0)[0]
+                tau[e] = w[0, 0], w[0, 1], w[1, 1]
             val = float((areas * tc.frob_inner_arr(resid, cur.sigma - tau)).sum())
             assert val <= 1e-8
 

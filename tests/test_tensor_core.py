@@ -53,15 +53,6 @@ def test_frobenius_dim_mismatch():
         tc.frob_inner(SymMat.zero(2), SymMat.zero(3))
 
 
-def test_phi_cap_examples():
-    inside = SymMat.from_matrix([[0.5, 0.0], [0.0, 0.0]])
-    assert tc.phi_cap(inside) == inside
-    np.testing.assert_allclose(
-        tc.phi_cap(SymMat.diag(3.0, 4.0)).to_matrix(), np.diag([0.6, 0.8])
-    )
-    assert tc.phi_cap(SymMat.zero(2)) == SymMat.zero(2)
-
-
 # -- deviatoric-ball projection -------------------------------------------------
 
 
@@ -200,6 +191,26 @@ def test_proj_dev_ball_arr_zero_radius_spherical_input():
     with np.errstate(all="raise"):
         out = tc.proj_dev_ball_arr(s, np.zeros(2))
     assert out.tobytes() == s.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stack_matches_scalar_api(d):
+    rng = np.random.default_rng(4)
+    a = tc.rand_sym_stack(rng, 60, d, scale=1.0)
+    b = tc.rand_sym_stack(rng, 60, d, scale=1.0)
+    radius = 2.0 * rng.random(60)
+    proj = tc.proj_dev_ball_stack(a, radius)
+    nd = tc.frob_norm_stack(tc.deviator_stack(a))
+    assert 0 < (nd > radius).sum() < len(a)  # the stack mixes both branches
+    for k in range(len(a)):
+        am, bm = SymMat.from_matrix(a[k]), SymMat.from_matrix(b[k])
+        assert tc.trace_stack(a[k]) == tc.trace(am)
+        np.testing.assert_allclose(tc.deviator_stack(a[k]), tc.deviator(am).to_matrix(),
+                                   rtol=0.0, atol=1e-14)
+        assert tc.frob_inner_stack(a[k], b[k]) == pytest.approx(tc.frob_inner(am, bm),
+                                                                 rel=1e-14, abs=1e-14)
+        np.testing.assert_allclose(proj[k], tc.proj_dev_ball(am, radius[k]).to_matrix(),
+                                   rtol=0.0, atol=1e-14)
 
 
 # -- SymMat construction ----------------------------------------------------------
