@@ -40,6 +40,10 @@ from .stepper import (
 
 _FMT = "%.17g"
 
+# the sample counts a config's ``verify`` block may set, each >= 1
+VERIFY_COUNTS = ("n_samples", "n_oracle_cases", "oracle_samples", "n_vi_setups",
+                 "n_vi_witnesses")
+
 
 def _fmt(x) -> str:
     if isinstance(x, str):
@@ -90,11 +94,22 @@ def _number(obj: dict, key: str, kind, where: str, default=None, lowest=None,
         value = kind(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"field {name!r}: expected a number, got {raw!r}") from exc
+    if kind is int and isinstance(raw, float) and value != raw:
+        # int() drops the fraction: N 2.7 would silently run 2 steps
+        raise ConfigError(f"field {name!r}: expected an integer, got {raw!r}")
     if lowest is not None:
         if not value >= lowest:
             raise ConfigError(f"field {name!r}: must be >= {lowest}, got {raw!r}")
     elif not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"field {name!r}: must be finite and > 0, got {raw!r}")
+    return value
+
+
+def _section(raw: dict, key: str) -> dict:
+    """The optional block ``raw[key]``: a JSON object, empty when left out."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"field {key!r}: expected an object, got {value!r}")
     return value
 
 
@@ -139,6 +154,8 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
 
     mode = raw.get("mode", "fem")
     if mode not in ("fem", "0d"):
@@ -164,7 +181,7 @@ def parse_config(path) -> RunConfig:
         s0_fn = lambda pts: sf(0.0, pts)
 
     # the mesh fields are checked in 0d mode too, where they go unused
-    mesh_cfg = raw.get("mesh", {})
+    mesh_cfg = _section(raw, "mesh")
     mesh_args = (
         _number(mesh_cfg, "nx", int, path, default=8, lowest=1, prefix="mesh."),
         _number(mesh_cfg, "ny", int, path, default=8, lowest=1, prefix="mesh."),
@@ -182,28 +199,31 @@ def parse_config(path) -> RunConfig:
                        f=f_fn, h=h_fn, p=p_fn, g=g_fn, v0=v0_fn, sigma0=s0_fn)
 
     # data validation: g >= 0 on a t-sample grid, sigma0 feasible at t = 0
-    pts = spec.pts
-    for t in np.linspace(0.0, total_t, 17):
-        gv = np.asarray(g_fn(float(t), pts), dtype=float)
-        if (gv < 0.0).any():
-            raise ConfigError(f"field 'g': negative yield radius at t={t}")
+    times = np.linspace(0.0, total_t, 17)
+    negative = np.flatnonzero((np.asarray(g_fn(times, spec.pts)) < 0.0).any(axis=1))
+    if len(negative):
+        raise ConfigError(f"field 'g': negative yield radius at t={times[negative[0]]}")
     initial_state(spec)
 
-    study = raw.get("study", {})
+    study = _section(raw, "study")
     dt_list = _dt_list(study.get("dt_list", []), total_t)
     if dt_list and any(b >= a for a, b in zip(dt_list, dt_list[1:])):
         raise ConfigError("field 'study.dt_list': must be strictly decreasing")
-    ref_n = int(study.get("ref_N", 0))
+    ref_n = _number(study, "ref_N", int, path, default=0, lowest=0, prefix="study.")
     if ref_n:
         for dt in dt_list:
             if round(total_t / dt) >= ref_n:
                 raise ConfigError("field 'study.ref_N': must be strictly finer than every study dt")
 
+    verify_cfg = _section(raw, "verify")
     return RunConfig(
         spec=spec, scheme=scheme, dt_list=dt_list, ref_n=ref_n,
-        seed=int(raw.get("seed", 0)),
-        vtk_stride=int(raw.get("output", {}).get("vtk_stride", 0)),
-        verify_params=raw.get("verify", {}),
+        seed=_number(raw, "seed", int, path, default=0, lowest=0),
+        vtk_stride=_number(_section(raw, "output"), "vtk_stride", int, path, default=0,
+                           lowest=0, prefix="output."),
+        # the counts left out take the defaults of verify.run_all
+        verify_params={key: _number(verify_cfg, key, int, path, lowest=1, prefix="verify.")
+                       for key in VERIFY_COUNTS if key in verify_cfg},
     )
 
 
@@ -390,15 +410,7 @@ def explicit_demo_report() -> dict:
 
 def cmd_verify(cfg: RunConfig, out_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    vp = cfg.verify_params
-    results = verify_mod.run_all(
-        n_samples=int(vp.get("n_samples", 10_000)),
-        n_oracle_cases=int(vp.get("n_oracle_cases", 100)),
-        oracle_samples=int(vp.get("oracle_samples", 100_000)),
-        n_vi_setups=int(vp.get("n_vi_setups", 1_000)),
-        n_vi_witnesses=int(vp.get("n_vi_witnesses", 100)),
-        seed=cfg.seed,
-    )
+    results = verify_mod.run_all(**cfg.verify_params, seed=cfg.seed)
     rows = []
     failed = False
     for res in results:
@@ -438,6 +450,8 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             cfg = parse_config(args.config)
             if args.seed is not None:
+                if args.seed < 0:
+                    raise ConfigError(f"option '--seed': must be >= 0, got {args.seed}")
                 cfg.seed = args.seed
             if args.command == "run":
                 cmd_run(cfg, args.out)

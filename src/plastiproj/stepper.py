@@ -55,6 +55,12 @@ FEASIBILITY_TOL = 1e-10
 FP_TOL = 1e-10
 FP_MAX_ITER = 200
 
+# floats of sampled data that one block of steps may hold (256 KB): the run
+# samples its data a block at a time, as many steps as fit and at least one
+SAMPLE_BUDGET = 2**15
+# midpoints per step of the time averages of f and h
+QUAD_POINTS = 4
+
 
 @dataclass
 class ProblemSpec:
@@ -62,8 +68,12 @@ class ProblemSpec:
     or None for the 0d sweeping process.  ``with_steps`` keeps the space, so
     the runs of a study share its mesh, matrices and cached factors.
 
-    Data functions are vectorized: f(t, pts)->(k,2), h/p(t, pts)->(k,3)
-    packed tensors, g(t, pts)->(k,), evaluated at ``pts``.
+    Data functions are vectorized over the k points ``pts``: f(t, pts) ->
+    (k, 2), h/p(t, pts) -> (k, 3) packed tensors, g(t, pts) -> (k,).  They
+    are vectorized over time too: for a 1-D array t of m times each returns
+    one row per time, (m, k, 2), (m, k, 3) or (m, k), and every row must
+    equal the call at that scalar time.  The run samples its data that way,
+    a block of steps per call.
     """
 
     nu: float
@@ -158,24 +168,33 @@ class NormReport:
         return dict(self.__dict__)
 
 
-def time_average(fn, n: int, dt: float, pts: np.ndarray, quad_points: int = 4) -> np.ndarray:
-    """Composite midpoint average of fn over (t_{n-1}, t_n)."""
-    if n < 1:
+def time_average(fn, n, dt: float, pts: np.ndarray,
+                 quad_points: int = QUAD_POINTS) -> np.ndarray:
+    """Composite midpoint average of fn over (t_{n-1}, t_n).
+
+    ``n`` is a step index, giving fn's (k, ...) shape, or a 1-D array of
+    them, giving one row per step; either way fn is called once, at every
+    midpoint.  The points are summed in order and then divided, as a loop
+    over scalar calls would.
+    """
+    ns = np.asarray(n)
+    if (ns < 1).any():
         raise ValueError("n must be >= 1")
     if quad_points < 1:
         raise ValueError("quad_points must be >= 1")
-    t0 = (n - 1) * dt
     sub = dt / quad_points
-    mids = t0 + sub * (np.arange(quad_points) + 0.5)
-    acc = None
-    for t in mids:
-        val = np.asarray(fn(float(t), pts), dtype=float)
-        acc = val if acc is None else acc + val
-    return acc / quad_points
+    mids = ((ns - 1) * dt)[..., None] + sub * (np.arange(quad_points) + 0.5)
+    vals = np.asarray(fn(mids.reshape(-1), pts), dtype=float)
+    vals = vals.reshape((-1, quad_points) + vals.shape[1:])
+    acc = vals[:, 0]
+    for i in range(1, quad_points):
+        acc = acc + vals[:, i]
+    return (acc / quad_points).reshape(ns.shape + vals.shape[2:])
 
 
 class _Engine:
-    """Per-run context: the spec's space, its sampling points, step matrices.
+    """Per-run context: the spec's space, its sampling points, step matrices,
+    and the data of the current block of steps.
 
     The step matrices and their factors are built on first use, so an
     engine made only for ``initial_state`` or the energy report assembles no
@@ -191,6 +210,12 @@ class _Engine:
             self.mask = self.space.mask
         else:
             self.mesh = self.mask = None
+        # per step: the midpoint samples of h (and f), then p and g
+        per_step = len(self.pts) * (QUAD_POINTS * (3 if self.space is None else 5) + 4)
+        self.block_steps = max(1, SAMPLE_BUDGET // per_step)
+        # the block holds steps _first .. _stop - 1; g < 0 from step _neg on
+        self._first = self._stop = self._neg = 0
+        self._block = ()
 
     def _step_matrix(self, visc: float) -> SparseSym:
         """M/dt + visc K with the constrained dofs eliminated."""
@@ -216,12 +241,40 @@ class _Engine:
 
     # -- data samples -------------------------------------------------------
 
-    def f_load(self, n: int) -> np.ndarray:
-        """(f_n, phi_i) for every dof; the callers mask the constrained ones."""
-        return body_load(self.space, time_average(self.spec.f, n, self.spec.dt, self.pts))
+    def data(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """h_n, p(t_n), g(t_n) and, in fem mode, the load (f_n, phi_i) for
+        every dof (the callers mask the constrained ones; None in 0d).
 
-    def h_avg(self, n: int) -> np.ndarray:
-        return time_average(self.spec.h, n, self.spec.dt, self.pts)
+        h_n and f_n are averages over (t_{n-1}, t_n).  They are read from the
+        current block of steps; a step outside it samples the block
+        n ... min(n + block_steps - 1, N), one call of each data function.
+        """
+        if not self._first <= n < self._stop:
+            self._sample_block(n)
+        if n >= self._neg:
+            # parse_config samples g on [0, T] only; t_N = N dt can pass T
+            raise ConfigError(f"field 'g': negative yield radius at t={n * self.spec.dt}")
+        h, p, g, f = self._block
+        i = n - self._first
+        if n == self._stop - 1:
+            # the rows returned hold the last step's data; dropping the block
+            # here frees it with them, as a run freed its per-step samples
+            self._block, self._stop = (), 0
+        load = None if f is None else body_load(self.space, f[i])
+        return h[i], p[i], g[i], load
+
+    def _sample_block(self, n: int) -> None:
+        spec, pts = self.spec, self.pts
+        ns = np.arange(n, min(n + self.block_steps - 1, spec.N) + 1)
+        t = ns * spec.dt
+        h = time_average(spec.h, ns, spec.dt, pts)
+        p = np.asarray(spec.p(t, pts), dtype=float)
+        g = np.asarray(spec.g(t, pts), dtype=float)
+        f = None if self.space is None else time_average(spec.f, ns, spec.dt, pts)
+        self._block = (h, p, g, f)
+        neg = np.flatnonzero((g < 0.0).any(axis=1))
+        self._first, self._stop = n, ns[-1] + 1
+        self._neg = ns[neg[0]] if len(neg) else self._stop
 
     def p_at(self, t: float) -> np.ndarray:
         return np.asarray(self.spec.p(t, self.pts), dtype=float)
@@ -229,17 +282,15 @@ class _Engine:
     def g_at(self, t: float) -> np.ndarray:
         g = np.asarray(self.spec.g(t, self.pts), dtype=float)
         if (g < 0.0).any():
-            # parse_config samples g on [0, T] only; t_N = N dt can pass T
             raise ConfigError(f"field 'g': negative yield radius at t={t}")
         return g
 
     # -- momentum solve -----------------------------------------------------
 
-    def solve_momentum(self, solve, prev: SchemeState, n: int,
+    def solve_momentum(self, solve, prev: SchemeState, n: int, load: np.ndarray,
                        sigma_term: np.ndarray) -> np.ndarray:
         """Velocity of step n from a factored step-matrix ``solve``."""
-        spec = self.spec
-        rhs = spmv(self.space.mass, prev.v) / spec.dt + self.f_load(n)
+        rhs = spmv(self.space.mass, prev.v) / self.spec.dt + load
         rhs -= stress_load(self.space, sigma_term)
         v = solve(np.where(self.mask, 0.0, rhs))
         if not np.all(np.isfinite(v)):
@@ -280,7 +331,7 @@ def _step(prev: SchemeState, eng: _Engine, n: int, scheme: str) -> SchemeState:
     """
     dt = eng.spec.dt
     t_n = n * dt
-    h_n, p_n, g_n = eng.h_avg(n), eng.p_at(t_n), eng.g_at(t_n)
+    h_n, p_n, g_n, load = eng.data(n)
 
     def update(v):
         # trial stress sigma* = sigma_{n-1} + dt (E(v) + h_n) and its projection
@@ -295,15 +346,15 @@ def _step(prev: SchemeState, eng: _Engine, n: int, scheme: str) -> SchemeState:
         # implicit fixed point is reached at once
         return SchemeState(n, t_n, None, *update(None), fp_iters=int(scheme == "implicit"))
     if scheme == "explicit":
-        v = eng.solve_momentum(eng.solve_visc, prev, n, prev.sigma)
+        v = eng.solve_momentum(eng.solve_visc, prev, n, load, prev.sigma)
     else:
-        v = eng.solve_momentum(eng.solve_proj, prev, n, prev.sigma + dt * h_n)
+        v = eng.solve_momentum(eng.solve_proj, prev, n, load, prev.sigma + dt * h_n)
     sigma_star, sigma = update(v)
     if scheme != "implicit":
         return SchemeState(n, t_n, v, sigma_star, sigma)
     areas = eng.mesh.areas
     for it in range(1, FP_MAX_ITER + 1):
-        v = eng.solve_momentum(eng.solve_visc, prev, n, sigma)
+        v = eng.solve_momentum(eng.solve_visc, prev, n, load, sigma)
         sigma_star, sigma_next = update(v)
         diff = sigma_next - sigma
         dist = math.sqrt(max((areas * tc.frob_inner_arr(diff, diff)).sum(), 0.0))
@@ -441,10 +492,7 @@ def energy_report(traj: Trajectory) -> EnergyReport:
     lhs = np.zeros(spec.N)
     strain_acc = 0.0
     for n in range(1, spec.N + 1):
-        t_n = n * dt
-        p_n = eng.p_at(t_n)
-        f_n = eng.f_load(n)
-        h_n = eng.h_avg(n)
+        h_n, p_n, _, f_n = eng.data(n)
         dp = (p_n - p_prev) / dt
         rhs_sum += space.dual_norm(f_n) ** 2 + h_sq(p_n) + h_sq(dp) + h_sq(h_n)
         st = traj.states[n]

@@ -81,6 +81,25 @@ def test_missing_nu_names_the_field(tmp_path):
     # round(T / dt) would silently run dt = 1/3 and 1/7
     ("study.dt_list", {"study": {"dt_list": [0.3, 0.15]}}),
     ("study.dt_list", {"study": {"dt_list": [0.5, 0.0]}}),
+    ("output.vtk_stride", {"output": {"vtk_stride": "x"}}),
+    ("output.vtk_stride", {"output": {"vtk_stride": -3}}),
+    ("study.ref_N", {"study": {"ref_N": "x"}}),
+    ("study.ref_N", {"study": {"ref_N": -1}}),
+    ("seed", {"seed": "x"}),
+    ("seed", {"seed": -1}),
+    ("verify.n_samples", {"verify": {"n_samples": "many"}}),
+    ("verify.n_samples", {"verify": {"n_samples": 0}}),
+    ("verify.n_oracle_cases", {"verify": {"n_oracle_cases": 0}}),
+    ("verify.oracle_samples", {"verify": {"oracle_samples": -5}}),
+    ("verify.n_vi_setups", {"verify": {"n_vi_setups": 0}}),
+    # would write a -inf cell for stress_update_vi and exit 0
+    ("verify.n_vi_witnesses", {"verify": {"n_vi_witnesses": 0}}),
+    ("mesh", {"mesh": 5}),
+    ("study", {"study": [1.0]}),
+    ("output", {"output": 5}),
+    ("verify", {"verify": "x"}),
+    ("N", {"N": 2.7}),
+    ("mesh.nx", {"mesh": {"nx": 3.5}}),
 ])
 def test_bad_number_exits_two_naming_the_field(tmp_path, capsys, field, overrides):
     path = write_config(tmp_path, "bad.json", **{"mode": "fem", **overrides})
@@ -88,6 +107,14 @@ def test_bad_number_exits_two_naming_the_field(tmp_path, capsys, field, override
         cli.parse_config(path)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: {path}: expected a JSON object, got list"]
 
 
 def test_dt_list_must_decrease(tmp_path):
@@ -494,27 +521,48 @@ def test_unconverged_implicit_step_is_reported(tmp_path, capsys, command, scheme
 
 
 # numbers out of range are covered by test_bad_number_exits_two_naming_the_field;
-# these stay in range so that most examples reach the run (g may turn negative)
+# these stay in range so that most examples reach the run (g may turn negative,
+# and vtk_stride or seed may be negative or a string); h, p and g depend on time
+vec3 = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)
+small3 = st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3)
+# mostly valid, so that most examples still reach the run
+int_or_junk = st.sampled_from([0, 1, 2, 3, 5, 50, "2", -1, -7, "x"])
+
+
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(command=st.sampled_from(["run", "stability"]), mode=st.sampled_from(["fem", "0d"]),
        scheme=st.sampled_from(SCHEMES), nu=st.floats(0.01, 10.0), total_t=st.floats(0.01, 5.0),
        n_steps=st.integers(1, 9), nx=st.integers(1, 3),
-       base=st.floats(0.0, 2.0), slope=st.floats(-1.0, 1.0))
+       base=st.floats(0.0, 2.0), slope=st.floats(-1.0, 1.0),
+       h_base=vec3, h_slope=vec3, p_base=small3, p_slope=vec3,
+       vtk_stride=int_or_junk, seed=int_or_junk)
 @example(command="run", mode="0d", scheme="projection", nu=1.0, total_t=0.9, n_steps=7,
-         nx=1, base=0.9, slope=-1.0)
-def test_fuzzed_config_exit_code(command, mode, scheme, nu, total_t, n_steps, nx, base, slope):
+         nx=1, base=0.9, slope=-1.0, h_base=[1.0, 0.0, -1.0], h_slope=[0.0, 0.0, 0.0],
+         p_base=[0.0, 0.0, 0.0], p_slope=[0.0, 0.0, 0.0], vtk_stride=0, seed=0)
+def test_fuzzed_config_exit_code(command, mode, scheme, nu, total_t, n_steps, nx, base, slope,
+                                 h_base, h_slope, p_base, p_slope, vtk_stride, seed):
     cfg = {"mode": mode, "nu": nu, "T": total_t, "N": n_steps, "scheme": scheme,
            "mesh": {"nx": nx, "ny": nx},
            "f": {"name": "constant", "params": {"value": [0.0, -1.0]}},
-           "h": {"name": "radial_deviatoric", "params": {"amplitude": 1.0}},
+           "h": {"name": "linear_in_t", "params": {"base": h_base, "slope": h_slope}},
+           "p": {"name": "linear_in_t", "params": {"base": p_base, "slope": p_slope}},
            "g": {"name": "linear_in_t", "params": {"base": base, "slope": slope}},
-           "study": {"dt_list": [total_t / 2, total_t / 4]}}
+           "study": {"dt_list": [total_t / 2, total_t / 4]},
+           "output": {"vtk_stride": vtk_stride}, "seed": seed}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         code = cli.main([command, "--config", path, "--out", os.path.join(tmp, "out")])
     assert code in (0, 1, 2)
+
+
+def test_negative_seed_option_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path, "s.json")
+    args = ["verify", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "-3"]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: option '--seed': must be >= 0, got -3"]
 
 
 def test_seed_override(tmp_path):

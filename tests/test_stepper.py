@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from plastiproj import linalg, stepper, tensor_core as tc, yield_charts as yc
-from plastiproj.catalog import scalar_fn, tensor_fn, vector_fn
-from plastiproj.fem2d import FemSpace, build_rect_mesh, strain_of
+from plastiproj.catalog import ConfigError, scalar_fn, tensor_fn, vector_fn
+from plastiproj.fem2d import FemSpace, body_load, build_rect_mesh, strain_of
 from plastiproj.scenarios import (
     growing_yield_0d_spec,
     radial_0d_spec,
@@ -98,6 +98,100 @@ def test_time_average_linear_midpoint():
     np.testing.assert_allclose(time_average(fn, 1, dt, pts, 4), [dt / 2.0])
 
 
+def _time_average_loop(fn, n, dt, pts, quad_points=4):
+    """The reference average: one scalar call per midpoint, summed in order."""
+    t0 = (n - 1) * dt
+    sub = dt / quad_points
+    acc = None
+    for t in t0 + sub * (np.arange(quad_points) + 0.5):
+        val = np.asarray(fn(float(t), pts), dtype=float)
+        acc = val if acc is None else acc + val
+    return acc / quad_points
+
+
+def _same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+DATA = {
+    "linear_in_t": dict(
+        f=vector_fn("linear_in_t", {"base": [0.2, -3.0], "slope": [1.0 / 3.0, 0.7]}),
+        h=tensor_fn("linear_in_t", {"base": [0.3, 0.1, -0.2], "slope": [0.7, -0.2, 1.0 / 7.0]}),
+        p=tensor_fn("linear_in_t", {"base": [0.05, 0.0, 0.1], "slope": [0.1, 0.3, -0.2]}),
+        g=scalar_fn("linear_in_t", {"base": 0.4, "slope": 1.0 / 3.0}),
+    ),
+    "gaussian_bump_in_x": dict(
+        f=vector_fn("gaussian_bump_in_x", {"value": [0.5, -2.0], "width": 0.3}),
+        h=tensor_fn("gaussian_bump_in_x", {"value": [1.0, 0.2, -1.0]}),
+        p=tensor_fn("gaussian_bump_in_x", {"value": [0.1, 0.0, -0.1], "center": [0.2, 0.7]}),
+        g=scalar_fn("gaussian_bump_in_x", {"amplitude": 0.5, "offset": 0.3}),
+    ),
+}
+
+
+def _check_block_data(spec):
+    times = {role: [] for role in "fhpg"}
+
+    def recorded(role):
+        fn = getattr(spec, role)
+
+        def sample(t, pts):
+            times[role].append(np.max(t))
+            return fn(t, pts)
+        return sample
+
+    eng = stepper._Engine(replace(spec, **{role: recorded(role) for role in times}))
+    dt, pts = spec.dt, eng.pts
+    for n in range(1, spec.N + 1):
+        h_n, p_n, g_n, load = eng.data(n)
+        _same_bits(h_n, _time_average_loop(spec.h, n, dt, pts))
+        _same_bits(p_n, np.asarray(spec.p(n * dt, pts), dtype=float))
+        _same_bits(g_n, np.asarray(spec.g(n * dt, pts), dtype=float))
+        if spec.space is None:
+            assert load is None
+        else:
+            _same_bits(load, body_load(spec.space, _time_average_loop(spec.f, n, dt, pts)))
+    # one call of each data function per block, none past t_N
+    blocks = -(-spec.N // eng.block_steps)
+    for role in "hpg" if spec.space is None else "fhpg":
+        assert len(times[role]) == blocks
+        assert max(times[role]) <= spec.N * dt
+    assert spec.space is not None or not times["f"]
+
+
+@pytest.mark.parametrize("family", sorted(DATA))
+def test_block_data_match_per_step_samples_0d(family):
+    block = stepper._Engine(radial_0d_spec()).block_steps
+    assert block > 1
+    # three whole blocks and a partial last one
+    spec = replace(radial_0d_spec(n_steps=3 * block + block // 2, total_time=1.3),
+                   **DATA[family])
+    _check_block_data(spec)
+
+
+@pytest.mark.parametrize("family", sorted(DATA))
+def test_block_data_match_per_step_samples_fem(family):
+    block = stepper._Engine(small_fem_spec()).block_steps
+    assert block > 1
+    spec = small_fem_spec(N=3 * block + 5, T=0.9, **DATA[family])
+    _check_block_data(spec)
+
+
+def test_negative_g_in_a_later_block_names_its_step():
+    spec = radial_0d_spec(n_steps=1, total_time=1.0)
+    block = stepper._Engine(spec).block_steps
+    n_steps = 3 * block
+    dt = 1.0 / n_steps
+    first_bad = 2 * block + 7
+    # g(t_n) = (first_bad - 0.5) dt - t_n turns negative at step first_bad
+    spec = replace(spec, N=n_steps,
+                   g=scalar_fn("linear_in_t", {"base": (first_bad - 0.5) * dt, "slope": -1.0}))
+    with pytest.raises(ConfigError) as err:
+        run(spec)
+    assert str(err.value) == f"field 'g': negative yield radius at t={first_bad * spec.dt}"
+
+
 def test_time_average_validation():
     pts = np.zeros((1, 2))
     fn = scalar_fn("constant", {"value": 1.0})
@@ -174,7 +268,9 @@ def test_projection_run_factors_one_matrix(monkeypatch):
 
 
 def test_non_finite_momentum_solve_names_the_step():
-    nan_after_half = lambda t, pts: np.full((len(pts), 2), np.nan if t > 0.5 else 0.0)
+    nan_after_half = lambda t, pts: np.where(
+        np.reshape(t, np.shape(t) + (1, 1)) > 0.5, np.nan,
+        np.zeros(np.shape(t) + (len(pts), 2)))
     with pytest.raises(RuntimeError, match="step 6 gave a non-finite velocity"):
         run(small_fem_spec(f=nan_after_half), "projection")
 
@@ -218,7 +314,7 @@ def test_step_variational_inequality_witnesses():
     m = traj.mesh.n_elements
     for n in (1, 5, 10):
         prev, cur = traj.states[n - 1], traj.states[n]
-        h_n = eng.h_avg(n)
+        h_n = time_average(spec.h, n, spec.dt, eng.pts)
         resid = (cur.sigma - prev.sigma) / spec.dt - strain_of(traj.space, cur.v) - h_n
         g_n = eng.g_at(cur.t)
         for _ in range(20):
