@@ -32,6 +32,8 @@ from .stepper import (
     SCHEMES,
     ProblemSpec,
     Trajectory,
+    _check_nested,
+    convergence_errors,
     discrete_norms,
     energy_report,
     initial_state,
@@ -60,6 +62,11 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_table(path, rows: list[dict]) -> None:
+    """A CSV with the keys of the row dicts as its header."""
+    _write_csv(path, list(rows[0]), [list(row.values()) for row in rows])
 
 
 # -- configuration -------------------------------------------------------------
@@ -282,86 +289,19 @@ def cmd_stability(cfg: RunConfig, out_dir) -> list[dict]:
         raise ConfigError("field 'study.dt_list' is required for the stability study")
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    reports = []
     for dt in cfg.dt_list:
-        n = max(1, round(cfg.spec.T / dt))
+        n = round(cfg.spec.T / dt)
         spec = cfg.spec.with_steps(n)
         traj = run(spec, cfg.scheme)
         _warn_unconverged(traj, f"dt={dt}: ")
-        rep = discrete_norms(traj)
+        vals = discrete_norms(traj).as_dict()
         en = energy_report(traj)
-        vals = rep.as_dict()
         if not all(math.isfinite(v) for v in vals.values()):
             raise RuntimeError(f"non-finite norm at dt={dt}")
-        rows.append([spec.dt, n] + list(vals.values())
-                    + [float(en.lhs.max()), en.rhs, en.ok])
-        reports.append({"dt": spec.dt, "N": n, **vals,
-                        "energy_lhs_max": float(en.lhs.max()),
-                        "energy_rhs": en.rhs, "energy_ok": en.ok})
-    header = (["dt", "N", "dual_norm_dv", "linf_H_vbar", "l2_V_vbar", "gap_v",
-               "linf_H_sigma_star", "linf_H_sigma", "gap_sigma", "h1_H_sigma_hat",
-               "energy_lhs_max", "energy_rhs", "energy_ok"])
-    _write_csv(os.path.join(out_dir, "stability.csv"), header, rows)
-    return reports
-
-
-def _check_nested(n_ref: int, n_c: int) -> None:
-    if n_ref % n_c != 0 or n_ref <= n_c:
-        raise ConfigError(f"reference N={n_ref} must be a strict multiple of study N={n_c}")
-
-
-def convergence_errors(ref: Trajectory, coarse: Trajectory) -> dict[str, float]:
-    """Errors of a coarse trajectory against a nested finer reference.
-
-    L-infinity errors compare the piecewise-linear time interpolants on the
-    full reference grid (the coarse interpolant is evaluated between its own
-    nodes, so the kink error near constraint activation is seen); the V-norm
-    error integrates the difference of the piecewise-constant velocities
-    over the reference grid.
-    """
-    n_ref, n_c = ref.spec.N, coarse.spec.N
-    _check_nested(n_ref, n_c)
-    stride = n_ref // n_c
-    areas = ref.mesh.areas if ref.mesh is not None else np.ones(1)
-
-    def coarse_hat(series, j):
-        # hat interpolant of the coarse series at reference time j * dt_ref
-        k, r = divmod(j, stride)
-        if r == 0:
-            return series[k]
-        w = r / stride
-        return (1.0 - w) * series[k] + w * series[k + 1]
-
-    # squared H norms of the stress error, one coarse interval at a time:
-    # row r of a block is reference node k * stride + r
-    sig_c = coarse.sigma_series()
-    sig_r = ref.sigma_series()
-    w = (np.arange(stride) / stride)[:, None, None]
-    d = sig_c[n_c] - sig_r[n_ref]
-    err_sq = (areas * tc.frob_inner_arr(d, d)).sum()
-    for k in range(n_c):
-        d = (1.0 - w) * sig_c[k]
-        d += w * sig_c[k + 1]
-        d -= sig_r[k * stride:(k + 1) * stride]
-        err_sq = max(err_sq, (areas * tc.frob_inner_arr(d, d)).sum(axis=-1).max())
-    err_sigma = float(np.sqrt(err_sq))
-    if ref.space is not None:
-        v_c = coarse.v_series()
-        v_r = ref.v_series()
-        err_v = max(
-            ref.space.l2_norm(coarse_hat(v_c, j) - v_r[j]) for j in range(n_ref + 1)
-        )
-        dt_ref = ref.spec.dt
-        acc = 0.0
-        for j in range(1, n_ref + 1):
-            k = -(-j * n_c // n_ref)  # ceil(j * n_c / n_ref)
-            diff = coarse.states[k].v - ref.states[j].v
-            acc += dt_ref * ref.space.v_norm(diff) ** 2
-        err_v_l2v = math.sqrt(acc)
-    else:
-        err_v = 0.0
-        err_v_l2v = 0.0
-    return {"err_sigma_LinfH": err_sigma, "err_v_LinfH": err_v, "err_v_L2V": err_v_l2v}
+        rows.append({"dt": spec.dt, "N": n, **vals, "energy_lhs_max": float(en.lhs.max()),
+                     "energy_rhs": en.rhs, "energy_ok": en.ok})
+    _write_table(os.path.join(out_dir, "stability.csv"), rows)
+    return rows
 
 
 def cmd_convergence(cfg: RunConfig, out_dir) -> list[dict]:
@@ -369,14 +309,13 @@ def cmd_convergence(cfg: RunConfig, out_dir) -> list[dict]:
         raise ConfigError("field 'study.dt_list' is required for the convergence study")
     if cfg.ref_n <= 0:
         raise ConfigError("field 'study.ref_N' is required for the convergence study")
-    steps = [max(1, round(cfg.spec.T / dt)) for dt in cfg.dt_list]
+    steps = [round(cfg.spec.T / dt) for dt in cfg.dt_list]
     for n in steps:  # before the reference run, which is the costly part
         _check_nested(cfg.ref_n, n)
     os.makedirs(out_dir, exist_ok=True)
     ref = run(cfg.spec.with_steps(cfg.ref_n), cfg.scheme)
     _warn_unconverged(ref, f"N={cfg.ref_n}: ")
     rows = []
-    results = []
     prev = None
     for n in steps:
         coarse = run(cfg.spec.with_steps(n), cfg.scheme)
@@ -387,14 +326,13 @@ def cmd_convergence(cfg: RunConfig, out_dir) -> list[dict]:
             if prev is None or errs[key] == 0.0 or prev[key] == 0.0:
                 orders["order_" + key[4:]] = 0.0  # sentinel: no ratio available
             else:
-                orders["order_" + key[4:]] = math.log2(prev[key] / errs[key])
-        rows.append([n, cfg.spec.T / n] + list(errs.values()) + list(orders.values()))
-        results.append({"N": n, **errs, **orders})
-        prev = errs
-    header = ["N", "dt", "err_sigma_LinfH", "err_v_LinfH", "err_v_L2V",
-              "order_sigma_LinfH", "order_v_LinfH", "order_v_L2V"]
-    _write_csv(os.path.join(out_dir, "convergence.csv"), header, rows)
-    return results
+                # the observed slope of log e over log dt
+                orders["order_" + key[4:]] = (math.log2(prev[key] / errs[key])
+                                              / math.log2(n / prev["N"]))
+        rows.append({"N": n, "dt": cfg.spec.T / n, **errs, **orders})
+        prev = rows[-1]
+    _write_table(os.path.join(out_dir, "convergence.csv"), rows)
+    return rows
 
 
 def explicit_demo_report() -> dict:

@@ -55,8 +55,8 @@ FEASIBILITY_TOL = 1e-10
 FP_TOL = 1e-10
 FP_MAX_ITER = 200
 
-# floats of sampled data that one block of steps may hold (256 KB): the run
-# samples its data a block at a time, as many steps as fit and at least one
+# floats (256 KB) that a run's block of sampled steps, or a chunk of stacked
+# nodes in convergence_errors, may hold: as many as fit and at least one
 SAMPLE_BUDGET = 2**15
 # midpoints per step of the time averages of f and h
 QUAD_POINTS = 4
@@ -168,9 +168,8 @@ class NormReport:
         return dict(self.__dict__)
 
 
-def time_average(fn, n, dt: float, pts: np.ndarray,
-                 quad_points: int = QUAD_POINTS) -> np.ndarray:
-    """Composite midpoint average of fn over (t_{n-1}, t_n).
+def time_average(fn, n, dt: float, pts: np.ndarray) -> np.ndarray:
+    """Composite midpoint average of fn over (t_{n-1}, t_n), QUAD_POINTS points.
 
     ``n`` is a step index, giving fn's (k, ...) shape, or a 1-D array of
     them, giving one row per step; either way fn is called once, at every
@@ -180,16 +179,14 @@ def time_average(fn, n, dt: float, pts: np.ndarray,
     ns = np.asarray(n)
     if (ns < 1).any():
         raise ValueError("n must be >= 1")
-    if quad_points < 1:
-        raise ValueError("quad_points must be >= 1")
-    sub = dt / quad_points
-    mids = ((ns - 1) * dt)[..., None] + sub * (np.arange(quad_points) + 0.5)
+    sub = dt / QUAD_POINTS
+    mids = ((ns - 1) * dt)[..., None] + sub * (np.arange(QUAD_POINTS) + 0.5)
     vals = np.asarray(fn(mids.reshape(-1), pts), dtype=float)
-    vals = vals.reshape((-1, quad_points) + vals.shape[1:])
+    vals = vals.reshape((-1, QUAD_POINTS) + vals.shape[1:])
     acc = vals[:, 0]
-    for i in range(1, quad_points):
+    for i in range(1, QUAD_POINTS):
         acc = acc + vals[:, i]
-    return (acc / quad_points).reshape(ns.shape + vals.shape[2:])
+    return (acc / QUAD_POINTS).reshape(ns.shape + vals.shape[2:])
 
 
 class _Engine:
@@ -444,6 +441,64 @@ def discrete_norms(traj: Trajectory) -> NormReport:
         gap_sigma=gap_sigma,
         h1_H_sigma_hat=math.sqrt(h1_sq),
     )
+
+
+def _check_nested(n_ref: int, n_c: int) -> None:
+    if n_ref % n_c != 0 or n_ref <= n_c:
+        raise ConfigError(f"reference N={n_ref} must be a strict multiple of study N={n_c}")
+
+
+def _quad_forms(a: SparseSym, d: np.ndarray) -> np.ndarray:
+    """d_i' A d_i per row, bit for bit as ``u @ spmv(a, u)`` (C-contiguous rows)."""
+    return np.vecdot(d, np.ascontiguousarray((a @ d.T).T))
+
+
+def _hat_minus(c: np.ndarray, r: np.ndarray, i: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(1 - w) c[i] + w c[i + 1] - r, one row per node: a coarse hat
+    interpolant minus the reference states."""
+    w = w.reshape((-1,) + (1,) * (r.ndim - 1))
+    d = (1.0 - w) * c[i]
+    d += w * c[i + 1]
+    d -= r
+    return d
+
+
+def convergence_errors(ref: Trajectory, coarse: Trajectory) -> dict[str, float]:
+    """Errors of a coarse trajectory against a nested finer reference.
+
+    L-infinity errors compare the piecewise-linear time interpolants on the
+    full reference grid, so the kink error near constraint activation is
+    seen: at reference node j the coarse hat is (1 - w) c_k + w c_{k+1}, with
+    k = min(j // stride, N_c - 1) and w = (j - k stride) / stride.  The
+    V-norm error integrates the difference of the piecewise-constant
+    velocities over the reference grid, with coarse node ceil(j / stride).
+    A chunk of nodes stacks only its own states and the coarse ones it needs.
+    """
+    n_ref, n_c = ref.spec.N, coarse.spec.N
+    _check_nested(n_ref, n_c)
+    stride = n_ref // n_c
+    space = ref.space
+    areas = np.ones(1) if space is None else space.mesh.areas
+    n_dofs = 0 if space is None else space.mesh.n_dofs
+    chunk = max(1, SAMPLE_BUDGET // (3 * len(areas) + n_dofs))
+    sig_sq = v_sq = l2v_sq = 0.0
+    for j0 in range(0, n_ref + 1, chunk):
+        j = np.arange(j0, min(j0 + chunk, n_ref + 1))
+        k = np.minimum(j // stride, n_c - 1)
+        w = (j - k * stride) / stride
+        i = k - k[0]  # row of coarse node k in the chunk's coarse stack
+        cs, rs = coarse.states[k[0]:k[-1] + 2], ref.states[j0:j[-1] + 1]
+        d = _hat_minus(np.stack([s.sigma for s in cs]), np.stack([s.sigma for s in rs]), i, w)
+        sig_sq = max(sig_sq, (areas * tc.frob_inner_arr(d, d)).sum(axis=-1).max())
+        if space is None:
+            continue
+        v_c, v_r = np.stack([s.v for s in cs]), np.stack([s.v for s in rs])
+        v_sq = max(v_sq, _quad_forms(space.mass, _hat_minus(v_c, v_r, i, w)).max())
+        bar = v_c[-(-j // stride) - k[0]] - v_r
+        for q in _quad_forms(space.h1_gram, bar)[j > 0].tolist():
+            l2v_sq += ref.spec.dt * math.sqrt(max(q, 0.0)) ** 2
+    return {"err_sigma_LinfH": math.sqrt(sig_sq), "err_v_LinfH": math.sqrt(v_sq),
+            "err_v_L2V": math.sqrt(l2v_sq)}
 
 
 # -- discrete energy inequality -------------------------------------------------

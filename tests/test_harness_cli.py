@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plastiproj import fem2d
+from plastiproj import fem2d, stepper
 from plastiproj import harness_cli as cli
 from plastiproj import tensor_core as tc
 from plastiproj.catalog import ConfigError
@@ -302,6 +302,20 @@ def test_convergence_study_0d(tmp_path):
             assert math.isfinite(float(cell))
 
 
+def test_convergence_order_is_the_slope_over_the_step_ratio(tmp_path, monkeypatch):
+    # errors equal to dt have order 1 whatever the ratio of successive steps
+    path = write_config(tmp_path, "conv.json", study={"dt_list": [0.5, 0.1, 0.05],
+                                                      "ref_N": 40})
+    monkeypatch.setattr(cli, "convergence_errors", lambda ref, coarse: {
+        key: coarse.spec.dt for key in ("err_sigma_LinfH", "err_v_LinfH", "err_v_L2V")})
+    results = cli.cmd_convergence(cli.parse_config(path), tmp_path / "out")
+    assert [r["N"] for r in results] == [2, 10, 20]
+    assert [r["dt"] for r in results] == [0.5, 0.1, 0.05]
+    orders = [r[key] for r in results[1:] for key in r if key.startswith("order_")]
+    assert len(orders) == 6
+    assert all(abs(order - 1.0) <= 1e-12 for order in orders), orders
+
+
 def test_convergence_requires_nested_reference(tmp_path, monkeypatch):
     path = write_config(
         tmp_path, "conv.json", T=1.0, N=10,
@@ -350,18 +364,37 @@ def per_node_errors(ref, coarse):
     return {"err_sigma_LinfH": err_sigma, "err_v_LinfH": err_v, "err_v_L2V": err_v_l2v}
 
 
-@pytest.mark.parametrize("overrides, n_ref, n_c", [
-    ({"T": 2.0}, 300, 30),
-    ({"mode": "fem", "mesh": {"nx": 4, "ny": 4},
-      "f": {"name": "constant", "params": {"value": [0.0, -8.0]}},
-      "g": {"name": "constant", "params": {"value": 0.5}}}, 40, 8),
-], ids=["0d", "fem4x4"])
-def test_convergence_errors_match_per_node_loop(tmp_path, overrides, n_ref, n_c):
+ZERO_D = {"T": 2.0}
+FEM_4X4 = {"mode": "fem", "mesh": {"nx": 4, "ny": 4},
+           "f": {"name": "constant", "params": {"value": [0.0, -8.0]}},
+           "g": {"name": "constant", "params": {"value": 0.5}}}
+
+
+@pytest.mark.parametrize("overrides, n_ref, n_c, chunk", [
+    (ZERO_D, 300, 30, None),
+    (FEM_4X4, 40, 8, None),
+    # chunks of one node, and of 7 nodes, which do not divide the stride
+    (ZERO_D, 300, 30, 1),
+    (FEM_4X4, 40, 8, 1),
+    (ZERO_D, 300, 30, 7),
+    (FEM_4X4, 40, 8, 7),
+], ids=["0d", "fem4x4", "0d_chunk1", "fem4x4_chunk1", "0d_chunk7", "fem4x4_chunk7"])
+def test_convergence_errors_match_per_node_loop(tmp_path, monkeypatch, overrides, n_ref,
+                                                n_c, chunk):
     spec = cli.parse_config(write_config(tmp_path, "c.json", **overrides)).spec
     ref = run(spec.with_steps(n_ref))
     coarse = run(spec.with_steps(n_c))
-    got = cli.convergence_errors(ref, coarse)
     want = per_node_errors(ref, coarse)
+    if chunk is not None:
+        per_node = 3 * len(spec.pts) + (0 if spec.space is None else spec.space.mesh.n_dofs)
+        monkeypatch.setattr(stepper, "SAMPLE_BUDGET", chunk * per_node)
+
+    def whole_series(self):
+        raise AssertionError("convergence_errors must not stack a whole trajectory")
+
+    monkeypatch.setattr(Trajectory, "sigma_series", whole_series)
+    monkeypatch.setattr(Trajectory, "v_series", whole_series)
+    got = cli.convergence_errors(ref, coarse)
     assert got["err_sigma_LinfH"] > 0.0
     assert got == want  # bit for bit
 

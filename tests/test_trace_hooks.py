@@ -46,7 +46,7 @@ from plastiproj import harness_cli as cli
 
 cfg = {{"mode": "fem", "nu": 1.0, "T": 1.0, "N": 3, "mesh": {{"nx": 4, "ny": 4}},
         "f": {{"name": "constant", "params": {{"value": [0.0, -8.0]}}}},
-        "study": {{"dt_list": [1.0, 0.5]}}}}
+        "study": {{"dt_list": [1.0, 0.5], "ref_N": 4}}}}
 out = tempfile.mkdtemp()
 steps = []
 for scheme in ("projection", "implicit"):
@@ -57,6 +57,8 @@ for scheme in ("projection", "implicit"):
     steps.append(3)
 cli.cmd_stability(cli.parse_config(path), out + "/stability")
 steps += [1, 2]
+cli.cmd_convergence(cli.parse_config(path), out + "/convergence")
+steps += [4, 1, 2]  # the reference run, then one run per study dt
 
 arr = tracer.arrays()
 names = [tracer.names[i] for i in arr["name"]]
@@ -69,6 +71,7 @@ print(json.dumps({{
     "steps": names.count("stepper.step"),
     "spaces": names.count("fem2d.FemSpace"),
     "configs": names.count("harness_cli.parse_config"),
+    "errors": names.count("harness_cli.convergence_errors"),
     "wrapped": wrapped,
 }}))
 """
@@ -83,8 +86,10 @@ def test_trace_hooks_install():
     # one stepper.step span per step, each a child of its stepper.run span
     assert seen["steps_per_run"] == seen["expected_steps"]
     assert seen["steps"] == sum(seen["expected_steps"])
+    # one convergence_errors span per coarse run of the convergence study
+    assert seen["errors"] == 2
     # one FemSpace per parsed config: its runs and their analysis share it
-    assert seen["configs"] == 3
+    assert seen["configs"] == 4
     assert seen["spaces"] == seen["configs"]
     # each name install replaces resolves to a wrapper of the package's function
     assert all(seen["wrapped"].values()), seen["wrapped"]
