@@ -14,13 +14,18 @@ Three step variants share the same stress update and per-element projection:
 * ``explicit``: the previous stress enters the momentum equation; only
   conditionally stable, kept as a demonstration reference.
 
-All three run through one step kernel, ``_step``; the scheme only picks the
-stress that enters the momentum equation.
+In fem mode all three run through one step kernel, ``_step``, whose entry
+points are ``step_projection``, ``step_implicit`` and ``step_explicit``;
+the scheme only picks the stress that enters the momentum equation.
 
 Two scenario modes: ``fem`` (P1 velocity / P0 stress on the spec's
 ``FemSpace``) and ``0d`` (no space: a single stress tensor driven by
 prescribed data, the pointwise sweeping process; the momentum equation is
 dropped, so there is no strain rate and the stress source h alone drives it).
+Without the momentum equation every scheme is the same projection step, so
+``run`` steps a 0d trajectory as one recurrence over Python floats
+(``_run_0d``), bit for bit the array kernel's arithmetic, and calls no step
+function.
 """
 
 from __future__ import annotations
@@ -54,6 +59,9 @@ FEASIBILITY_TOL = 1e-10
 # this close in the H norm, or after this many momentum solves
 FP_TOL = 1e-10
 FP_MAX_ITER = 200
+# ... and fail the step when the distance is non-finite or has grown on this
+# many consecutive iterations: the Picard map does not contract there
+FP_GROWTH_LIMIT = 10
 
 # floats (256 KB) that a run's block of sampled steps, or a chunk of stacked
 # nodes in convergence_errors, may hold: as many as fit and at least one
@@ -189,6 +197,10 @@ def time_average(fn, n, dt: float, pts: np.ndarray) -> np.ndarray:
     return (acc / QUAD_POINTS).reshape(ns.shape + vals.shape[2:])
 
 
+def _negative_g(t: float) -> ConfigError:
+    return ConfigError(f"field 'g': negative yield radius at t={t}")
+
+
 class _Engine:
     """Per-run context: the spec's space, its sampling points, step matrices,
     and the data of the current block of steps.
@@ -250,7 +262,7 @@ class _Engine:
             self._sample_block(n)
         if n >= self._neg:
             # parse_config samples g on [0, T] only; t_N = N dt can pass T
-            raise ConfigError(f"field 'g': negative yield radius at t={n * self.spec.dt}")
+            raise _negative_g(n * self.spec.dt)
         h, p, g, f = self._block
         i = n - self._first
         if n == self._stop - 1:
@@ -279,7 +291,7 @@ class _Engine:
     def g_at(self, t: float) -> np.ndarray:
         g = np.asarray(self.spec.g(t, self.pts), dtype=float)
         if (g < 0.0).any():
-            raise ConfigError(f"field 'g': negative yield radius at t={t}")
+            raise _negative_g(t)
         return g
 
     # -- momentum solve -----------------------------------------------------
@@ -319,29 +331,26 @@ def initial_state(spec: ProblemSpec, engine: _Engine | None = None) -> SchemeSta
 
 
 def _step(prev: SchemeState, eng: _Engine, n: int, scheme: str) -> SchemeState:
-    """Step n of ``scheme``: momentum solve, trial stress, projection.
+    """Step n of ``scheme`` in fem mode: momentum solve, trial stress, projection.
 
     The momentum equation sees sigma_{n-1} + dt h_n (projection, matrix
     M/dt + (nu + dt) K), sigma_{n-1} (explicit, M/dt + nu K), or the
     projected stress itself (implicit: a projection step, then Picard
     iteration with M/dt + nu K).
     """
+    if eng.space is None:
+        raise ValueError("a step needs a fem-mode engine; run steps 0d trajectories")
     dt = eng.spec.dt
     t_n = n * dt
     h_n, p_n, g_n, load = eng.data(n)
 
     def update(v):
         # trial stress sigma* = sigma_{n-1} + dt (E(v) + h_n) and its projection
-        rate = h_n if v is None else strain_of(eng.space, v) + h_n
-        sigma_star = prev.sigma + dt * rate
+        sigma_star = prev.sigma + dt * (strain_of(eng.space, v) + h_n)
         if not np.isfinite(sigma_star).all():
             raise RuntimeError(f"trial stress at step {n} is non-finite")
         return sigma_star, tc.project_constraint_arr(sigma_star, p_n, g_n)
 
-    if eng.space is None:
-        # no momentum coupling: every scheme is one projection, and the
-        # implicit fixed point is reached at once
-        return SchemeState(n, t_n, None, *update(None), fp_iters=int(scheme == "implicit"))
     if scheme == "explicit":
         v = eng.solve_momentum(eng.solve_visc, prev, n, load, prev.sigma)
     else:
@@ -350,6 +359,7 @@ def _step(prev: SchemeState, eng: _Engine, n: int, scheme: str) -> SchemeState:
     if scheme != "implicit":
         return SchemeState(n, t_n, v, sigma_star, sigma)
     areas = eng.mesh.areas
+    last, grown = math.inf, 0
     for it in range(1, FP_MAX_ITER + 1):
         v = eng.solve_momentum(eng.solve_visc, prev, n, load, sigma)
         sigma_star, sigma_next = update(v)
@@ -358,6 +368,11 @@ def _step(prev: SchemeState, eng: _Engine, n: int, scheme: str) -> SchemeState:
         sigma = sigma_next
         if dist <= FP_TOL:
             return SchemeState(n, t_n, v, sigma_star, sigma, fp_iters=it)
+        grown = grown + 1 if dist > last else 0
+        if not math.isfinite(dist) or grown >= FP_GROWTH_LIMIT:
+            raise RuntimeError(f"Picard iteration of implicit step {n} diverges "
+                               f"(distance {dist:.3e} after {it} iterations)")
+        last = dist
     return SchemeState(n, t_n, v, sigma_star, sigma, fp_iters=FP_MAX_ITER,
                        fp_converged=False)
 
@@ -374,13 +389,67 @@ def step_explicit(prev: SchemeState, eng: _Engine, n: int) -> SchemeState:
     return _step(prev, eng, n, "explicit")
 
 
+def _run_0d(eng: _Engine, scheme: str) -> list[SchemeState]:
+    """The states of a 0d run, stepped as one recurrence over Python floats.
+
+    Step n projects sigma*_n = sigma_{n-1} + dt h_n with the operations of
+    ``tc.project_constraint_arr`` in its order, so every value, signed zeros
+    included, is bit for bit the array kernel's.  Every scheme is that step;
+    the implicit fixed point is reached at once.  The data are sampled a
+    block of steps at a time, as ``_Engine.data`` samples them, and each
+    block's results go into (N+1, 1, 3) arrays that the states view.
+    """
+    spec = eng.spec
+    dt, n_steps = spec.dt, spec.N
+    sigma = np.empty((n_steps + 1, 1, 3))
+    sigma_star = np.empty_like(sigma)
+    first = initial_state(spec, eng)
+    sigma[0], sigma_star[0] = first.sigma, first.sigma_star
+    s0, s1, s2 = first.sigma[0].tolist()
+    isfinite, sqrt = math.isfinite, math.sqrt
+    n = 1
+    while n <= n_steps:
+        eng._sample_block(n)
+        h, p, g, _ = eng._block
+        start, neg = n, eng._neg
+        stars, sigmas = [], []
+        for (h0, h1, h2), (p0, p1, p2), gn in zip(h[:, 0].tolist(), p[:, 0].tolist(),
+                                                   g[:, 0].tolist()):
+            if n >= neg:
+                raise _negative_g(n * dt)
+            a0, a1, a2 = s0 + dt * h0, s1 + dt * h1, s2 + dt * h2
+            if not (isfinite(a0) and isfinite(a1) and isfinite(a2)):
+                raise RuntimeError(f"trial stress at step {n} is non-finite")
+            b0, b1, b2 = a0 + p0, a1 + p1, a2 + p2
+            half = 0.5 * (b0 + b2)
+            # the spherical part half * (1, 0, 1); half * 0.0 keeps its sign
+            sph, sph1 = half * 1.0, half * 0.0
+            d0, d1, d2 = b0 - sph, b1 - sph1, b2 - sph
+            nd = sqrt(d0 * d0 + 2.0 * d1 * d1 + d2 * d2)
+            scale = gn / nd if nd > gn else 1.0
+            s0 = (sph + scale * d0) - p0
+            s1 = (sph1 + scale * d1) - p1
+            s2 = (sph + scale * d2) - p2
+            stars.append((a0, a1, a2))
+            sigmas.append((s0, s1, s2))
+            n += 1
+        sigma_star[start:n, 0] = stars
+        sigma[start:n, 0] = sigmas
+    fp_iters = int(scheme == "implicit")
+    return [SchemeState(0, 0.0, None, sigma_star[0], sigma[0])] + [
+        SchemeState(k, k * dt, None, sigma_star[k], sigma[k], fp_iters=fp_iters)
+        for k in range(1, n_steps + 1)]
+
+
 def run(spec: ProblemSpec, scheme: str = "projection") -> Trajectory:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    eng = _Engine(spec)
+    if spec.space is None:
+        return Trajectory(spec=spec, scheme=scheme, states=_run_0d(eng, scheme))
     # looked up per run, so a wrapper installed on a step function sees every step
     step = {"projection": step_projection, "implicit": step_implicit,
             "explicit": step_explicit}[scheme]
-    eng = _Engine(spec)
     states = [initial_state(spec, eng)]
     for n in range(1, spec.N + 1):
         states.append(step(states[-1], eng, n))

@@ -16,7 +16,11 @@ from plastiproj.catalog import ConfigError
 from plastiproj.stepper import SCHEMES, SchemeState, Trajectory, run
 from plastiproj.verify import SuiteResult
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+# byte-exact outputs of configs/radial_0d.json, which the 0d path must keep
+GOLDEN = os.path.join(ROOT, "tests", "data")
+RADIAL_0D = os.path.join(ROOT, "configs", "radial_0d.json")
 
 
 def write_config(tmp_path, name, **overrides):
@@ -302,6 +306,27 @@ def test_convergence_study_0d(tmp_path):
             assert math.isfinite(float(cell))
 
 
+def _golden(name):
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_radial_0d_run_matches_golden_norms(tmp_path, scheme):
+    with open(RADIAL_0D) as fh:
+        cfg = dict(json.load(fh), scheme=scheme)
+    path = tmp_path / "radial_0d.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "norms.csv").read_bytes() == _golden(f"radial_0d_{scheme}_norms.csv")
+
+
+def test_radial_0d_convergence_matches_golden(tmp_path):
+    assert cli.main(["convergence", "--config", RADIAL_0D, "--out", str(tmp_path / "o")]) == 0
+    assert ((tmp_path / "o" / "convergence.csv").read_bytes()
+            == _golden("radial_0d_projection_convergence.csv"))
+
+
 def test_convergence_order_is_the_slope_over_the_step_ratio(tmp_path, monkeypatch):
     # errors equal to dt have order 1 whatever the ratio of successive steps
     path = write_config(tmp_path, "conv.json", study={"dt_list": [0.5, 0.1, 0.05],
@@ -512,8 +537,8 @@ def test_negative_g_at_the_last_step_exits_two(tmp_path, capsys):
 
 
 def test_diverging_implicit_run_exits_two(tmp_path, capsys):
-    # dt / nu = 2.5 is past where the Picard map contracts: the norms overflow
-    # while the velocities and trial stresses stay finite
+    # dt / nu = 2.5 is past where the Picard map contracts: the Picard
+    # distance of step 2 grows on every iteration
     path = write_config(
         tmp_path, "diverge.json", mode="fem", nu=0.2, T=2.992532303003736, N=6,
         scheme="implicit", mesh={"nx": 3, "ny": 3},
@@ -525,7 +550,8 @@ def test_diverging_implicit_run_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     failures = [line for line in err if line.startswith("numerical failure:")]
     assert len(failures) == 1
-    assert failures[0].startswith("numerical failure: non-finite norm at step ")
+    assert failures[0].startswith("numerical failure: Picard iteration of implicit step 2 "
+                                  "diverges (distance ")
     assert not (tmp_path / "o" / "norms.csv").exists()
 
 

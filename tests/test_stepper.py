@@ -185,13 +185,32 @@ def test_negative_g_in_a_later_block_names_its_step():
     block = stepper._Engine(spec).block_steps
     n_steps = 3 * block
     dt = 1.0 / n_steps
-    first_bad = 2 * block + 7
-    # g(t_n) = (first_bad - 0.5) dt - t_n turns negative at step first_bad
-    spec = replace(spec, N=n_steps,
-                   g=scalar_fn("linear_in_t", {"base": (first_bad - 0.5) * dt, "slope": -1.0}))
-    with pytest.raises(ConfigError) as err:
-        run(spec)
-    assert str(err.value) == f"field 'g': negative yield radius at t={first_bad * spec.dt}"
+    # inside the third block, and at step 2 block + 1, which opens it
+    for first_bad in (2 * block + 7, 2 * block + 1):
+        # g(t_n) = (first_bad - 0.5) dt - t_n turns negative at step first_bad
+        bad = replace(spec, N=n_steps, g=scalar_fn(
+            "linear_in_t", {"base": (first_bad - 0.5) * dt, "slope": -1.0}))
+        with pytest.raises(ConfigError) as err:
+            run(bad)
+        assert str(err.value) == f"field 'g': negative yield radius at t={first_bad * bad.dt}"
+
+
+@pytest.mark.parametrize("offset", [7, 1], ids=["mid_block", "block_start"])
+def test_non_finite_trial_stress_in_a_later_block_names_its_step(offset):
+    spec = radial_0d_spec(n_steps=1, total_time=1.0)
+    block = stepper._Engine(spec).block_steps
+    spec = replace(spec, N=3 * block, T=3.0 * block)  # dt = 1
+    first_bad = 2 * block + offset
+    radial = spec.h
+
+    # every midpoint of step first_bad lies past t_{first_bad - 1}, none before it
+    def h(t, pts):
+        nan = np.where(np.asarray(t) > first_bad - 1.0, np.nan, 1.0)
+        return radial(t, pts) * np.reshape(nan, np.shape(t) + (1, 1))
+
+    with pytest.raises(RuntimeError) as err:
+        run(replace(spec, g=scalar_fn("constant", {"value": 1e9}), h=h))
+    assert str(err.value) == f"trial stress at step {first_bad} is non-finite"
 
 
 def test_time_average_validation():
@@ -201,25 +220,80 @@ def test_time_average_validation():
         time_average(fn, 0, 0.1, pts)
 
 
-# -- single steps, 0d ---------------------------------------------------------------
+# -- 0d runs -----------------------------------------------------------------------
 
 
 def test_step_projection_0d_inside():
-    spec = replace(radial_0d_spec(n_steps=10, total_time=1.0))  # dt = 0.1
-    s0 = initial_state(spec)
-    s1 = step_projection(s0, stepper._Engine(spec), 1)
+    spec = replace(radial_0d_spec(), N=1, T=0.1)
+    s1 = run(spec).states[1]
     np.testing.assert_allclose(s1.sigma_star, [[0.1, 0.0, -0.1]], atol=1e-15)
     np.testing.assert_allclose(s1.sigma, s1.sigma_star)
 
 
 def test_step_projection_0d_clipped():
-    spec = radial_0d_spec(n_steps=10, total_time=1.0)
-    prev = SchemeState(n=7, t=0.7, v=None,
-                       sigma_star=np.array([[0.7, 0.0, -0.7]]),
-                       sigma=np.array([[0.7, 0.0, -0.7]]))
-    s = step_projection(prev, stepper._Engine(spec), 8)
+    spec = replace(radial_0d_spec(), N=1, T=0.1,
+                   sigma0=lambda pts: np.tile([0.7, 0.0, -0.7], (len(pts), 1)))
+    s = run(spec).states[1]
     np.testing.assert_allclose(s.sigma_star, [[0.8, 0.0, -0.8]], atol=1e-15)
     np.testing.assert_allclose(s.sigma, [[1.0 / SQ2, 0.0, -1.0 / SQ2]], atol=1e-14)
+
+
+def test_step_functions_are_fem_only():
+    spec = radial_0d_spec(n_steps=4)
+    eng = stepper._Engine(spec)
+    with pytest.raises(ValueError, match="fem-mode"):
+        step_projection(initial_state(spec, eng), eng, 1)
+
+
+def _run_0d_reference(spec, scheme):
+    """A 0d run as one array-kernel projection per step, on the engine's data."""
+    eng = stepper._Engine(spec)
+    states = [initial_state(spec, eng)]
+    for n in range(1, spec.N + 1):
+        h_n, p_n, g_n, _ = eng.data(n)
+        star = states[-1].sigma + spec.dt * h_n
+        states.append(SchemeState(n, n * spec.dt, None, star,
+                                  tc.project_constraint_arr(star, p_n, g_n),
+                                  fp_iters=int(scheme == "implicit")))
+    return Trajectory(spec=spec, scheme=scheme, states=states)
+
+
+def _signed_zero_spec(n_steps):
+    # g = 0 clips every step to the spherical part half (1, 0, 1) - p, and the
+    # shear d1 < 0 of the deviator scales to -0.0; the trace of sigma + p
+    # turns from negative to positive mid-run, so the shear half * 0.0 + -0.0
+    # of sigma is -0.0 up to there and +0.0 after
+    return replace(
+        radial_0d_spec(n_steps=n_steps, total_time=1.3),
+        h=tensor_fn("linear_in_t", {"base": [0.8, -0.3, 0.8], "slope": [0.1, 0.1, -0.1]}),
+        p=tensor_fn("linear_in_t", {"base": [-0.5, 0.0, -0.5], "slope": [0.1, 0.0, -0.1]}),
+        g=scalar_fn("constant", {"value": 0.0}))
+
+
+ZERO_D_SPECS = {
+    "radial": lambda n: radial_0d_spec(n_steps=n, total_time=1.3),
+    "growing_yield": lambda n: growing_yield_0d_spec(n_steps=n, total_time=6.0),
+    "linear_in_t": lambda n: replace(radial_0d_spec(n_steps=n, total_time=1.3),
+                                     **{r: DATA["linear_in_t"][r] for r in "hpg"}),
+    "signed_zero": _signed_zero_spec,
+}
+
+
+@pytest.mark.parametrize("scheme", stepper.SCHEMES)
+@pytest.mark.parametrize("case", sorted(ZERO_D_SPECS))
+def test_run_0d_is_bit_identical_to_the_array_kernel(case, scheme):
+    block = stepper._Engine(radial_0d_spec()).block_steps
+    # three whole blocks and a partial last one
+    spec = ZERO_D_SPECS[case](3 * block + block // 2)
+    got, want = run(spec, scheme), _run_0d_reference(spec, scheme)
+    _same_bits(got.sigma_series(), want.sigma_series())
+    _same_bits(got.sigma_star_series(), want.sigma_star_series())
+    assert [(s.n, s.t, s.fp_iters, s.fp_converged) for s in got.states] == \
+        [(s.n, s.t, s.fp_iters, s.fp_converged) for s in want.states]
+    if case == "signed_zero":
+        shear = got.sigma_series()[1:, 0, 1]
+        assert (shear == 0.0).all()
+        assert np.signbit(shear).any() and not np.signbit(shear).all()
 
 
 # -- single steps, fem ---------------------------------------------------------------
