@@ -185,7 +185,7 @@ def strain_of(space: FemSpace, v: np.ndarray) -> np.ndarray:
 
 def stress_load(space: FemSpace, s: np.ndarray) -> np.ndarray:
     """dof vector of (sigma, E(phi_i)) for element-constant sigma, (n_el, 3)."""
-    return space.strain_op.T @ (space.strain_weight * s.ravel())
+    return space.strain_op_t @ (space.strain_weight * s.ravel())
 
 
 def body_load(space: FemSpace, cell_values: np.ndarray) -> np.ndarray:
@@ -208,33 +208,50 @@ def apply_dirichlet(a: SparseSym, mask: np.ndarray) -> SparseSym:
 class FemSpace:
     """Mesh plus cached matrices for the norms used by the time stepper.
 
-    The strain operator B (``strain_op``) is built once from its element
-    blocks: the strain applies B, the stress load its transpose, and the
-    strain stiffness B' W B is summed from the same blocks.  The H1 matrices,
-    the dual-norm factor and the Korn constant are built on first use: a
-    plain run needs only the mass and strain stiffness matrices.  A study
-    shares one space across its runs, so each is built at most once.
+    Every matrix is built on first use, so parsing a config and checking its
+    initial state assemble none.  The strain operator B (``strain_op``), its
+    transpose and the strain stiffness B' W B are built together from one
+    set of element blocks of B: the strain applies B, the stress load its
+    transpose.  The H1 matrices, the dual-norm factor and the Korn constant
+    serve the norms.  A study shares one space across its runs, so each is
+    built at most once.
     """
 
     def __init__(self, mesh: Mesh2D):
         self.mesh = mesh
-        self.mass = assemble_mass(mesh)
+        self.mask = mesh.dirichlet_mask()
+
+    @cached_property
+    def mass(self) -> SparseSym:
+        return assemble_mass(self.mesh)
+
+    @cached_property
+    def strain_weight(self) -> np.ndarray:
+        """w = areas x (1, 2, 1), raveled: the shear weight of frob_inner_arr,
+        (sigma, eps)_H = (w * sigma.ravel()) @ eps.ravel()."""
+        return np.outer(self.mesh.areas, (1.0, 2.0, 1.0)).ravel()
+
+    @cached_property
+    def _strain_operators(self) -> tuple:
+        mesh = self.mesh
         blocks = strain_blocks(mesh)
-        # w = areas x (1, 2, 1), the shear weight of frob_inner_arr:
-        # (sigma, eps)_H = (w * sigma.ravel()) @ eps.ravel()
-        w = np.outer(mesh.areas, (1.0, 2.0, 1.0))
-        self.strain_weight = w.ravel()
         # B' W B summed element by element; scipy's product B.T @ (W @ B)
         # gives the same matrix, but its heap temporaries raise peak memory
-        self.strain_stiff = _scatter(mesh, blocks.transpose(0, 2, 1) @ (w[:, :, None] * blocks))
+        w = self.strain_weight.reshape(-1, 3, 1)
+        stiff = _scatter(mesh, blocks.transpose(0, 2, 1) @ (w * blocks))
         # B: row 3e + k is row k of block e on the dofs mesh.dofs[e]; it takes
         # over the blocks' storage and drops their zeros in place
         m = mesh.n_elements
         cols = np.broadcast_to(mesh.dofs[:, None, :], blocks.shape).ravel()
         indptr = np.arange(0, 18 * m + 1, 6, dtype=np.int32)
-        self.strain_op = SparseSym((blocks.ravel(), cols, indptr), shape=(3 * m, mesh.n_dofs))
-        self.strain_op.eliminate_zeros()
-        self.mask = mesh.dirichlet_mask()
+        op = SparseSym((blocks.ravel(), cols, indptr), shape=(3 * m, mesh.n_dofs))
+        op.eliminate_zeros()
+        # B' is a CSC view of B's arrays, kept rather than rebuilt per stress load
+        return stiff, op, op.T
+
+    strain_stiff = property(lambda self: self._strain_operators[0])
+    strain_op = property(lambda self: self._strain_operators[1])
+    strain_op_t = property(lambda self: self._strain_operators[2])
 
     @cached_property
     def grad_stiff(self) -> SparseSym:

@@ -237,17 +237,18 @@ def parse_config(path) -> RunConfig:
 # -- study drivers --------------------------------------------------------------
 
 
-def _slack_min(traj: Trajectory, state) -> float:
+def _slack_min(traj: Trajectory, n: int) -> float:
     spec = traj.spec
-    p_n = np.asarray(spec.p(state.t, spec.pts))
-    g_n = np.asarray(spec.g(state.t, spec.pts))
-    return float(tc.yield_slack_arr(state.sigma, p_n, g_n).min())
+    t = n * spec.dt
+    p_n = np.asarray(spec.p(t, spec.pts))
+    g_n = np.asarray(spec.g(t, spec.pts))
+    return float(tc.yield_slack_arr(traj.sigma[n], p_n, g_n).min())
 
 
 def _warn_unconverged(traj: Trajectory, where: str = "") -> None:
     """One stderr line if an implicit step stopped at the Picard iteration cap."""
-    steps = [s.n for s in traj.states if not s.fp_converged]
-    if steps:
+    steps = np.flatnonzero(~traj.fp_converged)
+    if len(steps):
         print(f"warning: {where}implicit step {steps[0]} did not converge within "
               f"{FP_MAX_ITER} Picard iterations ({len(steps)} of {traj.spec.N} steps)",
               file=sys.stderr)
@@ -258,24 +259,25 @@ def cmd_run(cfg: RunConfig, out_dir) -> Trajectory:
     traj = run(cfg.spec, cfg.scheme)
     _warn_unconverged(traj)
     rows = []
-    for state in traj.states:
+    for n in range(traj.spec.N + 1):
+        sigma = traj.sigma[n]
         if traj.space is not None:
-            v_l2 = traj.space.l2_norm(state.v)
-            s_l2 = traj.space.stress_l2(state.sigma)
+            v_l2 = traj.space.l2_norm(traj.v[n])
+            s_l2 = traj.space.stress_l2(sigma)
         else:
             v_l2 = 0.0
-            s_l2 = float(np.sqrt(tc.frob_inner_arr(state.sigma, state.sigma).sum()))
-        row = [state.n, state.t, v_l2, s_l2, _slack_min(traj, state)]
+            s_l2 = float(np.sqrt(tc.frob_inner_arr(sigma, sigma).sum()))
+        row = [n, n * traj.spec.dt, v_l2, s_l2, _slack_min(traj, n)]
         if not all(math.isfinite(x) for x in row[2:]):
-            raise RuntimeError(f"non-finite norm at step {state.n}")
+            raise RuntimeError(f"non-finite norm at step {n}")
         # the frozen cg_iters column: the factored solve makes no iterations
         rows.append(row + [0])
-        if cfg.vtk_stride > 0 and traj.mesh is not None and state.n % cfg.vtk_stride == 0:
+        if cfg.vtk_stride > 0 and traj.mesh is not None and n % cfg.vtk_stride == 0:
             write_vtk(
-                os.path.join(out_dir, f"snapshot_{state.n:06d}.vtk"),
+                os.path.join(out_dir, f"snapshot_{n:06d}.vtk"),
                 traj.mesh,
-                point_vectors={"velocity": state.v},
-                cell_tensors={"stress": state.sigma},
+                point_vectors={"velocity": traj.v[n]},
+                cell_tensors={"stress": sigma},
             )
     _write_csv(os.path.join(out_dir, "norms.csv"),
                ["n", "t", "v_l2", "sigma_l2", "yield_slack_min", "cg_iters"], rows)
@@ -340,8 +342,8 @@ def explicit_demo_report() -> dict:
     spec = explicit_blowup_spec()
     traj = run(spec, "explicit")
     space = traj.space
-    e0 = space.l2_norm(traj.states[1].v)
-    e1 = space.l2_norm(traj.states[-1].v)
+    e0 = space.l2_norm(traj.v[1])
+    e1 = space.l2_norm(traj.v[-1])
     return {"initial_v_l2": e0, "final_v_l2": e1,
             "growth": e1 / max(e0, 1e-300)}
 

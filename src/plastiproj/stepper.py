@@ -31,6 +31,7 @@ function.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -133,9 +134,33 @@ class SchemeState:
 
 @dataclass
 class Trajectory:
+    """A run's steps n = 0 .. N as columns, one row per step: ``sigma`` and
+    ``sigma_star`` (N+1, m, 3), ``v`` (N+1, n_dofs) or None in 0d, and the
+    Picard counts ``fp_iters`` and flags ``fp_converged`` (N+1,).
+
+    ``state(k)`` and ``states`` give ``SchemeState``s that view the rows;
+    they are built on access, for callers that read a run step by step.
+    """
+
     spec: ProblemSpec
     scheme: str
-    states: list[SchemeState]
+    sigma: np.ndarray
+    sigma_star: np.ndarray
+    v: np.ndarray | None
+    fp_iters: np.ndarray
+    fp_converged: np.ndarray
+
+    @classmethod
+    def from_states(cls, spec: ProblemSpec, scheme: str,
+                    states: list[SchemeState]) -> "Trajectory":
+        """The trajectory of the states n = 0 .. spec.N, copied into columns."""
+        if len(states) != spec.N + 1:
+            raise ValueError(f"expected {spec.N + 1} states, got {len(states)}")
+        v = None if states[0].v is None else np.stack([s.v for s in states])
+        return cls(spec, scheme, np.stack([s.sigma for s in states]),
+                   np.stack([s.sigma_star for s in states]), v,
+                   np.array([s.fp_iters for s in states], dtype=int),
+                   np.array([s.fp_converged for s in states], dtype=bool))
 
     @property
     def space(self) -> FemSpace | None:
@@ -147,18 +172,27 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+        return np.arange(self.spec.N + 1) * self.spec.dt
+
+    def state(self, k: int) -> SchemeState:
+        """Step k (from the end if negative), viewing the columns."""
+        n = range(self.spec.N + 1)[k]
+        return SchemeState(n, n * self.spec.dt, None if self.v is None else self.v[n],
+                           self.sigma_star[n], self.sigma[n], int(self.fp_iters[n]),
+                           bool(self.fp_converged[n]))
+
+    @property
+    def states(self) -> list[SchemeState]:
+        return [self.state(k) for k in range(self.spec.N + 1)]
 
     def sigma_series(self) -> np.ndarray:
-        return np.stack([s.sigma for s in self.states])
+        return self.sigma
 
     def sigma_star_series(self) -> np.ndarray:
-        return np.stack([s.sigma_star for s in self.states])
+        return self.sigma_star
 
     def v_series(self) -> np.ndarray | None:
-        if self.states[0].v is None:
-            return None
-        return np.stack([s.v for s in self.states])
+        return self.v
 
 
 @dataclass
@@ -389,71 +423,100 @@ def step_explicit(prev: SchemeState, eng: _Engine, n: int) -> SchemeState:
     return _step(prev, eng, n, "explicit")
 
 
-def _run_0d(eng: _Engine, scheme: str) -> list[SchemeState]:
-    """The states of a 0d run, stepped as one recurrence over Python floats.
+def _run_0d(eng: _Engine) -> tuple[np.ndarray, np.ndarray]:
+    """The columns sigma and sigma* (N+1, 1, 3) of a 0d run, stepped as one
+    recurrence over Python floats.
 
     Step n projects sigma*_n = sigma_{n-1} + dt h_n with the operations of
     ``tc.project_constraint_arr`` in its order, so every value, signed zeros
     included, is bit for bit the array kernel's.  Every scheme is that step;
     the implicit fixed point is reached at once.  The data are sampled a
     block of steps at a time, as ``_Engine.data`` samples them, and each
-    block's results go into (N+1, 1, 3) arrays that the states view.
+    block is stepped by ``_recurrence`` straight into the columns.
     """
     spec = eng.spec
-    dt, n_steps = spec.dt, spec.N
-    sigma = np.empty((n_steps + 1, 1, 3))
+    sigma = np.empty((spec.N + 1, 1, 3))
     sigma_star = np.empty_like(sigma)
     first = initial_state(spec, eng)
     sigma[0], sigma_star[0] = first.sigma, first.sigma_star
-    s0, s1, s2 = first.sigma[0].tolist()
-    isfinite, sqrt = math.isfinite, math.sqrt
     n = 1
-    while n <= n_steps:
+    while n <= spec.N:
         eng._sample_block(n)
         h, p, g, _ = eng._block
-        start, neg = n, eng._neg
-        stars, sigmas = [], []
-        for (h0, h1, h2), (p0, p1, p2), gn in zip(h[:, 0].tolist(), p[:, 0].tolist(),
-                                                   g[:, 0].tolist()):
-            if n >= neg:
-                raise _negative_g(n * dt)
-            a0, a1, a2 = s0 + dt * h0, s1 + dt * h1, s2 + dt * h2
-            if not (isfinite(a0) and isfinite(a1) and isfinite(a2)):
-                raise RuntimeError(f"trial stress at step {n} is non-finite")
-            b0, b1, b2 = a0 + p0, a1 + p1, a2 + p2
-            half = 0.5 * (b0 + b2)
-            # the spherical part half * (1, 0, 1); half * 0.0 keeps its sign
-            sph, sph1 = half * 1.0, half * 0.0
-            d0, d1, d2 = b0 - sph, b1 - sph1, b2 - sph
-            nd = sqrt(d0 * d0 + 2.0 * d1 * d1 + d2 * d2)
-            scale = gn / nd if nd > gn else 1.0
-            s0 = (sph + scale * d0) - p0
-            s1 = (sph1 + scale * d1) - p1
-            s2 = (sph + scale * d2) - p2
-            stars.append((a0, a1, a2))
-            sigmas.append((s0, s1, s2))
-            n += 1
-        sigma_star[start:n, 0] = stars
-        sigma[start:n, 0] = sigmas
-    fp_iters = int(scheme == "implicit")
-    return [SchemeState(0, 0.0, None, sigma_star[0], sigma[0])] + [
-        SchemeState(k, k * dt, None, sigma_star[k], sigma[k], fp_iters=fp_iters)
-        for k in range(1, n_steps + 1)]
+        # neg as a Python int: against a numpy scalar each step's test is a numpy call
+        stars, sigmas = _recurrence(sigma[n - 1, 0], spec.dt, h[:, 0], p[:, 0], g[:, 0], n,
+                                    int(eng._neg))
+        stop = n + len(g)
+        sigma_star[n:stop, 0] = np.frombuffer(stars).reshape(-1, 3)
+        sigma[n:stop, 0] = np.frombuffer(sigmas).reshape(-1, 3)
+        n = stop
+    return sigma, sigma_star
+
+
+def _recurrence(s: np.ndarray, dt: float, h: np.ndarray, p: np.ndarray, g: np.ndarray,
+                n: int, neg: int) -> tuple[array, array]:
+    """Steps n, n + 1, ... of the 0d recurrence on one sampled block (the
+    rows of h, p and g), from sigma_{n-1} = s; g < 0 from step ``neg`` on.
+    Returns the rows of sigma* and sigma, flat.
+
+    Kept short and apart from ``_run_0d``: tracemalloc charges every float
+    the loop allocates to a line it finds by scanning the function's line
+    table, so the same loop deep in a long function traces many times slower.
+    """
+    s0, s1, s2 = s.tolist()
+    isfinite, sqrt = math.isfinite, math.sqrt
+    stars, sigmas = array("d"), array("d")
+    for (h0, h1, h2), (p0, p1, p2), gn in zip(h.tolist(), p.tolist(), g.tolist()):
+        if n >= neg:
+            raise _negative_g(n * dt)
+        a0, a1, a2 = s0 + dt * h0, s1 + dt * h1, s2 + dt * h2
+        if not (isfinite(a0) and isfinite(a1) and isfinite(a2)):
+            raise RuntimeError(f"trial stress at step {n} is non-finite")
+        b0, b1, b2 = a0 + p0, a1 + p1, a2 + p2
+        half = 0.5 * (b0 + b2)
+        # the spherical part half * (1, 0, 1); half * 0.0 keeps its sign
+        sph, sph1 = half * 1.0, half * 0.0
+        d0, d1, d2 = b0 - sph, b1 - sph1, b2 - sph
+        nd = sqrt(d0 * d0 + 2.0 * d1 * d1 + d2 * d2)
+        scale = gn / nd if nd > gn else 1.0
+        s0 = (sph + scale * d0) - p0
+        s1 = (sph1 + scale * d1) - p1
+        s2 = (sph + scale * d2) - p2
+        stars.extend((a0, a1, a2))
+        sigmas.extend((s0, s1, s2))
+        n += 1
+    return stars, sigmas
 
 
 def run(spec: ProblemSpec, scheme: str = "projection") -> Trajectory:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     eng = _Engine(spec)
+    rows = spec.N + 1
+    fp_converged = np.ones(rows, dtype=bool)
     if spec.space is None:
-        return Trajectory(spec=spec, scheme=scheme, states=_run_0d(eng, scheme))
+        # every scheme is the projection step; the implicit one counts one iteration
+        fp_iters = np.full(rows, int(scheme == "implicit"))
+        fp_iters[0] = 0
+        return Trajectory(spec, scheme, *_run_0d(eng), None, fp_iters, fp_converged)
     # looked up per run, so a wrapper installed on a step function sees every step
     step = {"projection": step_projection, "implicit": step_implicit,
             "explicit": step_explicit}[scheme]
-    states = [initial_state(spec, eng)]
-    for n in range(1, spec.N + 1):
-        states.append(step(states[-1], eng, n))
-    return Trajectory(spec=spec, scheme=scheme, states=states)
+    # step 1 assembles the space's matrices on first use and factors the step
+    # matrix; the columns are allocated after it, so that the run's peak is
+    # not the columns plus those temporaries
+    first = initial_state(spec, eng)
+    state = step(first, eng, 1)
+    traj = Trajectory(spec, scheme, np.empty((rows,) + state.sigma.shape),
+                      np.empty((rows,) + state.sigma.shape), np.empty((rows, len(state.v))),
+                      np.empty(rows, dtype=int), fp_converged)
+    for n in range(rows):
+        if n > 1:
+            state = step(state, eng, n)
+        st = first if n == 0 else state
+        traj.sigma[n], traj.sigma_star[n], traj.v[n] = st.sigma, st.sigma_star, st.v
+        traj.fp_iters[n], traj.fp_converged[n] = st.fp_iters, st.fp_converged
+    return traj
 
 
 # -- discrete norms ------------------------------------------------------------
@@ -486,17 +549,16 @@ def discrete_norms(traj: Trajectory) -> NormReport:
     gap_sigma = 0.0
     h1_sq = 0.0
     for n in range(1, spec.N + 1):
-        s_prev, s_cur = traj.states[n - 1], traj.states[n]
-        dv = (s_cur.v - s_prev.v) / dt
+        v_prev, v, a, b = traj.v[n - 1], traj.v[n], traj.sigma[n - 1], traj.sigma[n]
+        dv = (v - v_prev) / dt
         r = spmv(mass, dv)
         dual_sq += dt * space.dual_norm(r) ** 2
-        l2v_sq += dt * space.v_norm(s_cur.v) ** 2
-        gap_v += (1.0 / 3.0) * space.l2_norm(s_cur.v - s_prev.v) ** 2
-        linf_v = max(linf_v, space.l2_norm(s_cur.v))
-        linf_ss = max(linf_ss, space.stress_l2(s_cur.sigma_star))
-        linf_s = max(linf_s, space.stress_l2(s_cur.sigma))
-        gap_sigma += h_inner(s_cur.sigma - s_cur.sigma_star, s_cur.sigma - s_cur.sigma_star)
-        a, b = s_prev.sigma, s_cur.sigma
+        l2v_sq += dt * space.v_norm(v) ** 2
+        gap_v += (1.0 / 3.0) * space.l2_norm(v - v_prev) ** 2
+        linf_v = max(linf_v, space.l2_norm(v))
+        linf_ss = max(linf_ss, space.stress_l2(traj.sigma_star[n]))
+        linf_s = max(linf_s, space.stress_l2(b))
+        gap_sigma += h_inner(b - traj.sigma_star[n], b - traj.sigma_star[n])
         h1_sq += (dt / 3.0) * (h_inner(a, a) + h_inner(a, b) + h_inner(b, b))
         ds = (b - a) / dt
         h1_sq += dt * h_inner(ds, ds)
@@ -541,7 +603,7 @@ def convergence_errors(ref: Trajectory, coarse: Trajectory) -> dict[str, float]:
     k = min(j // stride, N_c - 1) and w = (j - k stride) / stride.  The
     V-norm error integrates the difference of the piecewise-constant
     velocities over the reference grid, with coarse node ceil(j / stride).
-    A chunk of nodes stacks only its own states and the coarse ones it needs.
+    A chunk of nodes reads only its own rows and the coarse ones it needs.
     """
     n_ref, n_c = ref.spec.N, coarse.spec.N
     _check_nested(n_ref, n_c)
@@ -556,12 +618,12 @@ def convergence_errors(ref: Trajectory, coarse: Trajectory) -> dict[str, float]:
         k = np.minimum(j // stride, n_c - 1)
         w = (j - k * stride) / stride
         i = k - k[0]  # row of coarse node k in the chunk's coarse stack
-        cs, rs = coarse.states[k[0]:k[-1] + 2], ref.states[j0:j[-1] + 1]
-        d = _hat_minus(np.stack([s.sigma for s in cs]), np.stack([s.sigma for s in rs]), i, w)
+        cs, rs = slice(k[0], k[-1] + 2), slice(j0, j[-1] + 1)
+        d = _hat_minus(coarse.sigma[cs], ref.sigma[rs], i, w)
         sig_sq = max(sig_sq, (areas * tc.frob_inner_arr(d, d)).sum(axis=-1).max())
         if space is None:
             continue
-        v_c, v_r = np.stack([s.v for s in cs]), np.stack([s.v for s in rs])
+        v_c, v_r = coarse.v[cs], ref.v[rs]
         v_sq = max(v_sq, _quad_forms(space.mass, _hat_minus(v_c, v_r, i, w)).max())
         bar = v_c[-(-j // stride) - k[0]] - v_r
         for q in _quad_forms(space.h1_gram, bar)[j > 0].tolist():
@@ -619,17 +681,16 @@ def energy_report(traj: Trajectory) -> EnergyReport:
         h_n, p_n, _, f_n = eng.data(n)
         dp = (p_n - p_prev) / dt
         rhs_sum += space.dual_norm(f_n) ** 2 + h_sq(p_n) + h_sq(dp) + h_sq(h_n)
-        st = traj.states[n]
-        strain_acc += float(st.v @ spmv(space.strain_stiff, st.v))
+        v = traj.v[n]
+        strain_acc += float(v @ spmv(space.strain_stiff, v))
         lhs[n - 1] = (
-            space.l2_norm(st.v) ** 2
-            + 0.5 * h_sq(st.sigma_star + p_n)
-            + 0.5 * h_sq(st.sigma + p_n)
+            space.l2_norm(v) ** 2
+            + 0.5 * h_sq(traj.sigma_star[n] + p_n)
+            + 0.5 * h_sq(traj.sigma[n] + p_n)
             + spec.nu * dt * strain_acc
         )
         p_prev = p_n
-    s0 = traj.states[0]
     rhs = c2 * (
-        space.l2_norm(s0.v) ** 2 + h_sq(s0.sigma) + h_sq(eng.p_at(0.0)) + dt * rhs_sum
+        space.l2_norm(traj.v[0]) ** 2 + h_sq(traj.sigma[0]) + h_sq(eng.p_at(0.0)) + dt * rhs_sum
     )
     return EnergyReport(lhs=lhs, rhs=rhs, korn=ck, c2=c2, ok=bool(np.all(lhs <= rhs)))

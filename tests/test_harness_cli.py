@@ -417,8 +417,13 @@ def test_convergence_errors_match_per_node_loop(tmp_path, monkeypatch, overrides
     def whole_series(self):
         raise AssertionError("convergence_errors must not stack a whole trajectory")
 
+    def per_state(self, *args):
+        raise AssertionError("convergence_errors must read the columns, not states")
+
     monkeypatch.setattr(Trajectory, "sigma_series", whole_series)
     monkeypatch.setattr(Trajectory, "v_series", whole_series)
+    monkeypatch.setattr(Trajectory, "state", per_state)
+    monkeypatch.setattr(Trajectory, "states", property(per_state))
     got = cli.convergence_errors(ref, coarse)
     assert got["err_sigma_LinfH"] > 0.0
     assert got == want  # bit for bit
@@ -431,7 +436,7 @@ def test_convergence_errors_sees_the_last_reference_node(tmp_path):
     def traj(sigmas):
         n = len(sigmas) - 1
         states = [SchemeState(k, k / n, None, s[None], s[None]) for k, s in enumerate(sigmas)]
-        return Trajectory(spec.with_steps(n), "projection", states)
+        return Trajectory.from_states(spec.with_steps(n), "projection", states)
 
     # the only large error sits at t = T, where both series have a node
     ref = traj([zero, np.array([1.0, 0.0, 0.0]), zero, zero, np.array([0.0, 3.0, 0.0])])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,8 @@ from plastiproj.stepper import (
     initial_state,
     korn_constant,
     run,
+    step_explicit,
+    step_implicit,
     step_projection,
     time_average,
 )
@@ -245,17 +248,29 @@ def test_step_functions_are_fem_only():
         step_projection(initial_state(spec, eng), eng, 1)
 
 
-def _run_0d_reference(spec, scheme):
-    """A 0d run as one array-kernel projection per step, on the engine's data."""
+STEPS = {"projection": step_projection, "implicit": step_implicit,
+         "explicit": step_explicit}
+
+
+def _hand_states(spec, scheme):
+    """A run as a list of states, one step per call: ``step_*`` in fem mode,
+    and in 0d one array-kernel projection per step on the engine's data."""
     eng = stepper._Engine(spec)
     states = [initial_state(spec, eng)]
     for n in range(1, spec.N + 1):
+        if spec.space is not None:
+            states.append(STEPS[scheme](states[-1], eng, n))
+            continue
         h_n, p_n, g_n, _ = eng.data(n)
         star = states[-1].sigma + spec.dt * h_n
         states.append(SchemeState(n, n * spec.dt, None, star,
                                   tc.project_constraint_arr(star, p_n, g_n),
                                   fp_iters=int(scheme == "implicit")))
-    return Trajectory(spec=spec, scheme=scheme, states=states)
+    return states
+
+
+def _run_0d_reference(spec, scheme):
+    return Trajectory.from_states(spec, scheme, _hand_states(spec, scheme))
 
 
 def _signed_zero_spec(n_steps):
@@ -294,6 +309,82 @@ def test_run_0d_is_bit_identical_to_the_array_kernel(case, scheme):
         shear = got.sigma_series()[1:, 0, 1]
         assert (shear == 0.0).all()
         assert np.signbit(shear).any() and not np.signbit(shear).all()
+
+
+# -- columnar trajectories ---------------------------------------------------------
+
+# an implicit fem run whose later steps take several Picard iterations, and a
+# 0d run that crosses the kink of the radial closed form
+HAND_RUNS = {
+    "fem4x4_implicit": (lambda: small_fem_spec(N=6), "implicit"),
+    "0d": (lambda: radial_0d_spec(n_steps=40, total_time=1.3), "implicit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_RUNS))
+def test_run_columns_are_bit_identical_to_a_hand_loop(case):
+    make_spec, scheme = HAND_RUNS[case]
+    spec = make_spec()
+    traj, states = run(spec, scheme), _hand_states(spec, scheme)
+    _same_bits(traj.sigma, np.stack([s.sigma for s in states]))
+    _same_bits(traj.sigma_star, np.stack([s.sigma_star for s in states]))
+    if spec.space is None:
+        assert traj.v is None and traj.v_series() is None
+    else:
+        _same_bits(traj.v, np.stack([s.v for s in states]))
+        assert traj.v_series() is traj.v
+        assert traj.fp_iters.max() > 1
+    assert traj.fp_iters.tolist() == [s.fp_iters for s in states]
+    assert traj.fp_converged.tolist() == [s.fp_converged for s in states]
+    _same_bits(traj.times, np.array([s.t for s in states]))
+    # the series are the columns themselves, not stacked copies
+    assert traj.sigma_series() is traj.sigma
+    assert traj.sigma_star_series() is traj.sigma_star
+
+
+@pytest.mark.parametrize("case", sorted(HAND_RUNS))
+def test_state_views_match_the_state_list(case):
+    make_spec, scheme = HAND_RUNS[case]
+    spec = make_spec()
+    traj, states = run(spec, scheme), _hand_states(spec, scheme)
+
+    def fields(st):
+        return st.n, st.t, st.fp_iters, st.fp_converged
+
+    views = traj.states
+    assert [fields(st) for st in views] == [fields(st) for st in states]
+    for k in (0, 1, spec.N, -1, -spec.N - 1):
+        got, want = traj.state(k), states[k]
+        assert fields(got) == fields(want)
+        assert [type(x) for x in fields(got)] == [int, float, int, bool]
+        _same_bits(got.sigma, want.sigma)
+        _same_bits(got.sigma_star, want.sigma_star)
+        # each state views its row of the columns
+        assert np.shares_memory(got.sigma, traj.sigma)
+        assert np.shares_memory(got.sigma_star, traj.sigma_star)
+        if spec.space is not None:
+            _same_bits(got.v, want.v)
+            assert np.shares_memory(got.v, traj.v)
+    assert fields(views[-1]) == fields(states[-1])
+    _same_bits(views[-1].sigma, states[-1].sigma)
+    with pytest.raises(IndexError):
+        traj.state(spec.N + 1)
+    with pytest.raises(ValueError, match="expected"):
+        Trajectory.from_states(spec, scheme, states[:-1])
+
+
+def test_0d_run_holds_only_its_columns():
+    # two (N+1, 1, 3) float columns are 4.8 MB; one state object per step
+    # would hold about 50 MB
+    spec = radial_0d_spec(n_steps=100_000)
+    tracemalloc.start()
+    try:
+        traj = run(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.sigma.shape == (100_001, 1, 3)
+    assert peak < 12e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 # -- single steps, fem ---------------------------------------------------------------
@@ -423,10 +514,6 @@ def test_growing_yield_0d_closed_form_at_grid_nodes():
 # -- discrete norms -----------------------------------------------------------------
 
 
-def _manual_trajectory(spec, states):
-    return Trajectory(spec=spec, scheme="projection", states=states)
-
-
 def test_discrete_norms_constant_trajectory():
     spec = small_fem_spec(N=3)
     mesh = spec.space.mesh
@@ -434,7 +521,7 @@ def test_discrete_norms_constant_trajectory():
     sig = np.tile([0.3, 0.1, -0.3], (mesh.n_elements, 1))
     states = [SchemeState(n=k, t=k * spec.dt, v=v.copy(), sigma_star=sig.copy(),
                           sigma=sig.copy()) for k in range(4)]
-    rep = discrete_norms(_manual_trajectory(spec, states))
+    rep = discrete_norms(Trajectory.from_states(spec, "projection", states))
     assert rep.dual_norm_dv == pytest.approx(0.0, abs=1e-12)
     assert rep.gap_v == pytest.approx(0.0, abs=1e-14)
     assert rep.gap_sigma == pytest.approx(0.0, abs=1e-14)
@@ -455,7 +542,7 @@ def test_discrete_norms_single_step_gap():
         SchemeState(n=0, t=0.0, v=np.zeros(mesh.n_dofs), sigma_star=z.copy(), sigma=z.copy()),
         SchemeState(n=1, t=spec.dt, v=v1, sigma_star=z.copy(), sigma=z.copy()),
     ]
-    rep = discrete_norms(_manual_trajectory(spec, states))
+    rep = discrete_norms(Trajectory.from_states(spec, "projection", states))
     assert rep.gap_v == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert rep.linf_H_vbar == pytest.approx(1.0, rel=1e-12)
 
@@ -469,7 +556,7 @@ def test_discrete_norms_scaling():
         s.sigma = 2.0 * s.sigma
         s.sigma_star = 2.0 * s.sigma_star
     rep1 = discrete_norms(traj)
-    rep2 = discrete_norms(_manual_trajectory(spec, doubled))
+    rep2 = discrete_norms(Trajectory.from_states(spec, "projection", doubled))
     for key, val in rep1.as_dict().items():
         factor = 4.0 if key.startswith("gap") else 2.0
         assert rep2.as_dict()[key] == pytest.approx(factor * val, rel=1e-10)
