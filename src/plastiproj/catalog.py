@@ -11,7 +11,9 @@ Roles and shapes (k = number of evaluation points):
 
 ``t`` is a scalar or a 1-D array of m times; an array gives one row per
 time, (m, k, ...), each bit-identical to the scalar call at that time.
-Every call returns a fresh, writable array.
+Every call returns a fresh, writable array.  The parameters are checked
+when a function is built: each number must be finite and have its shape,
+or a ``ParamError`` names its key.
 """
 
 from __future__ import annotations
@@ -23,29 +25,49 @@ class ConfigError(ValueError):
     """Invalid configuration content; maps to CLI exit code 2."""
 
 
-def _tensor_value(params, key="value"):
-    v = np.asarray(params.get(key, [0.0, 0.0, 0.0]), dtype=float)
-    if v.shape == (2, 2):
-        v = np.array([v[0, 0], v[0, 1], v[1, 1]])
-    if v.shape != (3,):
-        raise ConfigError(f"tensor parameter {key!r} must be 3 packed entries or a 2x2 matrix")
+class ParamError(ConfigError):
+    """A bad entry ``key`` of a data function's ``params``, and why."""
+
+    def __init__(self, key: str, reason: str):
+        super().__init__(f"field 'params.{key}': {reason}")
+        self.key, self.reason = key, reason
+
+
+def _param(params, key, default, what, *shapes):
+    """``params[key]``, or ``default`` when left out, as a finite float array
+    of one of ``shapes``."""
+    raw = params.get(key, default)
+    try:
+        v = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        v = None
+    if v is None or v.shape not in shapes or not np.isfinite(v).all():
+        raise ParamError(key, f"expected {what}, got {raw!r}")
     return v
+
+
+def _scalar_value(params, key, default):
+    return float(_param(params, key, default, "a finite number", ()))
+
+
+def _tensor_value(params, key="value"):
+    v = _param(params, key, [0.0, 0.0, 0.0],
+               "3 finite packed entries or a finite 2x2 matrix", (3,), (2, 2))
+    return np.array([v[0, 0], v[0, 1], v[1, 1]]) if v.shape == (2, 2) else v
 
 
 def _vector_value(params, key="value"):
-    v = np.asarray(params.get(key, [0.0, 0.0]), dtype=float)
-    if v.shape != (2,):
-        raise ConfigError(f"vector parameter {key!r} must have 2 entries")
-    return v
+    return _param(params, key, [0.0, 0.0], "2 finite entries", (2,))
 
 
-def _bump(params, pts):
-    center = np.asarray(params.get("center", [0.5, 0.5]), dtype=float)
-    width = float(params.get("width", 0.2))
-    if width <= 0.0:
-        raise ConfigError("gaussian width must be > 0")
-    d2 = ((pts - center) ** 2).sum(axis=1)
-    return np.exp(-d2 / (2.0 * width**2))
+def _bump(params):
+    """The gaussian profile of ``params`` as a function of the points."""
+    center = _param(params, "center", [0.5, 0.5], "2 finite entries", (2,))
+    width = _scalar_value(params, "width", 0.2)
+    # a width whose square underflows would divide 0 by 0 at the center
+    if not (width > 0.0 and 2.0 * width**2 > 0.0):
+        raise ParamError("width", f"must be > 0, got {width!r}")
+    return lambda pts: np.exp(-((pts - center) ** 2).sum(axis=1) / (2.0 * width**2))
 
 
 def _fill(shape, val):
@@ -84,7 +106,8 @@ def vector_fn(name: str, params: dict):
         return lambda t, pts: _linear(t, len(pts), base, slope)
     if name == "gaussian_bump_in_x":
         val = _vector_value(params)
-        return lambda t, pts: _over_t(t, _bump(params, pts)[:, None] * val)
+        bump = _bump(params)
+        return lambda t, pts: _over_t(t, bump(pts)[:, None] * val)
     raise ConfigError(f"unknown vector function {name!r}")
 
 
@@ -98,25 +121,27 @@ def tensor_fn(name: str, params: dict):
         return lambda t, pts: _linear(t, len(pts), base, slope)
     if name == "radial_deviatoric":
         # amp * diag(1, -1): a pure deviator driving radial loading
-        amp = float(params.get("amplitude", 1.0))
+        amp = _scalar_value(params, "amplitude", 1.0)
         val = amp * np.array([1.0, 0.0, -1.0])
         return lambda t, pts: _fill(np.shape(t) + (len(pts), 3), val)
     if name == "gaussian_bump_in_x":
         val = _tensor_value(params)
-        return lambda t, pts: _over_t(t, _bump(params, pts)[:, None] * val)
+        bump = _bump(params)
+        return lambda t, pts: _over_t(t, bump(pts)[:, None] * val)
     raise ConfigError(f"unknown tensor function {name!r}")
 
 
 def scalar_fn(name: str, params: dict):
     if name == "constant":
-        val = float(params.get("value", 1.0))
+        val = _scalar_value(params, "value", 1.0)
         return lambda t, pts: np.full(np.shape(t) + (len(pts),), val)
     if name == "linear_in_t":
-        base = float(params.get("base", 1.0))
-        slope = float(params.get("slope", 0.0))
+        base = _scalar_value(params, "base", 1.0)
+        slope = _scalar_value(params, "slope", 0.0)
         return lambda t, pts: _linear(t, len(pts), base, slope)
     if name == "gaussian_bump_in_x":
-        amp = float(params.get("amplitude", 1.0))
-        offset = float(params.get("offset", 0.0))
-        return lambda t, pts: _over_t(t, offset + amp * _bump(params, pts))
+        amp = _scalar_value(params, "amplitude", 1.0)
+        offset = _scalar_value(params, "offset", 0.0)
+        bump = _bump(params)
+        return lambda t, pts: _over_t(t, offset + amp * bump(pts))
     raise ConfigError(f"unknown scalar function {name!r}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from . import verify as verify_mod
-from .catalog import ConfigError, scalar_fn, tensor_fn, vector_fn
+from .catalog import ConfigError, ParamError, scalar_fn, tensor_fn, vector_fn
 from .fem2d import SIDES, FemSpace, build_rect_mesh, write_vtk
 from .scenarios import explicit_blowup_spec
 from .stepper import (
@@ -132,7 +132,13 @@ def _sides(mesh_cfg: dict) -> tuple[str, ...]:
 def _build_fn(obj, role: str, builder, where: str):
     if not isinstance(obj, dict) or "name" not in obj:
         raise ConfigError(f"{where}: expected {{'name': ..., 'params': {{...}}}} for {role}")
-    return builder(obj["name"], obj.get("params", {}))
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"field '{role}.params': expected an object, got {params!r}")
+    try:
+        return builder(obj["name"], params)
+    except ParamError as exc:
+        raise ConfigError(f"field '{role}.params.{exc.key}': {exc.reason}") from exc
 
 
 def _dt_list(raw, total_t: float) -> list[float]:

@@ -64,11 +64,13 @@ FP_MAX_ITER = 200
 # many consecutive iterations: the Picard map does not contract there
 FP_GROWTH_LIMIT = 10
 
-# floats (256 KB) that a run's block of sampled steps, or a chunk of stacked
+# floats (256 KB) that a block of sampled 0d steps, or a chunk of stacked
 # nodes in convergence_errors, may hold: as many as fit and at least one
 SAMPLE_BUDGET = 2**15
 # midpoints per step of the time averages of f and h
 QUAD_POINTS = 4
+# steps per block of 0d data: per step, the midpoint samples of h, then p and g
+BLOCK_0D = SAMPLE_BUDGET // (3 * QUAD_POINTS + 3 + 1)
 
 
 @dataclass
@@ -81,8 +83,8 @@ class ProblemSpec:
     (k, 2), h/p(t, pts) -> (k, 3) packed tensors, g(t, pts) -> (k,).  They
     are vectorized over time too: for a 1-D array t of m times each returns
     one row per time, (m, k, 2), (m, k, 3) or (m, k), and every row must
-    equal the call at that scalar time.  The run samples its data that way,
-    a block of steps per call.
+    equal the call at that scalar time.  A 0d run samples its data that way,
+    ``BLOCK_0D`` steps per call; a fem step samples its own step.
     """
 
     nu: float
@@ -236,8 +238,8 @@ def _negative_g(t: float) -> ConfigError:
 
 
 class _Engine:
-    """Per-run context: the spec's space, its sampling points, step matrices,
-    and the data of the current block of steps.
+    """Per-run context: the spec's space, its sampling points and its step
+    matrices.
 
     The step matrices and their factors are built on first use, so an
     engine made only for ``initial_state`` or the energy report assembles no
@@ -253,12 +255,6 @@ class _Engine:
             self.mask = self.space.mask
         else:
             self.mesh = self.mask = None
-        # per step: the midpoint samples of h (and f), then p and g
-        per_step = len(self.pts) * (QUAD_POINTS * (3 if self.space is None else 5) + 4)
-        self.block_steps = max(1, SAMPLE_BUDGET // per_step)
-        # the block holds steps _first .. _stop - 1; g < 0 from step _neg on
-        self._first = self._stop = self._neg = 0
-        self._block = ()
 
     def _step_matrix(self, visc: float) -> SparseSym:
         """M/dt + visc K with the constrained dofs eliminated."""
@@ -284,40 +280,16 @@ class _Engine:
 
     # -- data samples -------------------------------------------------------
 
-    def data(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        """h_n, p(t_n), g(t_n) and, in fem mode, the load (f_n, phi_i) for
-        every dof (the callers mask the constrained ones; None in 0d).
-
-        h_n and f_n are averages over (t_{n-1}, t_n).  They are read from the
-        current block of steps; a step outside it samples the block
-        n ... min(n + block_steps - 1, N), one call of each data function.
+    def data(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """h_n, p(t_n), g(t_n) and the load (f_n, phi_i) for every dof (the
+        callers mask the constrained ones) of fem step n, one call of each
+        data function.  h_n and f_n are averages over (t_{n-1}, t_n).
         """
-        if not self._first <= n < self._stop:
-            self._sample_block(n)
-        if n >= self._neg:
-            # parse_config samples g on [0, T] only; t_N = N dt can pass T
-            raise _negative_g(n * self.spec.dt)
-        h, p, g, f = self._block
-        i = n - self._first
-        if n == self._stop - 1:
-            # the rows returned hold the last step's data; dropping the block
-            # here frees it with them, as a run freed its per-step samples
-            self._block, self._stop = (), 0
-        load = None if f is None else body_load(self.space, f[i])
-        return h[i], p[i], g[i], load
-
-    def _sample_block(self, n: int) -> None:
-        spec, pts = self.spec, self.pts
-        ns = np.arange(n, min(n + self.block_steps - 1, spec.N) + 1)
-        t = ns * spec.dt
-        h = time_average(spec.h, ns, spec.dt, pts)
-        p = np.asarray(spec.p(t, pts), dtype=float)
-        g = np.asarray(spec.g(t, pts), dtype=float)
-        f = None if self.space is None else time_average(spec.f, ns, spec.dt, pts)
-        self._block = (h, p, g, f)
-        neg = np.flatnonzero((g < 0.0).any(axis=1))
-        self._first, self._stop = n, ns[-1] + 1
-        self._neg = ns[neg[0]] if len(neg) else self._stop
+        spec, t = self.spec, n * self.spec.dt
+        h = time_average(spec.h, n, spec.dt, self.pts)
+        # g_at checks every step: t_N = N dt can pass the T that parse_config samples
+        p, g = self.p_at(t), self.g_at(t)
+        return h, p, g, body_load(self.space, time_average(spec.f, n, spec.dt, self.pts))
 
     def p_at(self, t: float) -> np.ndarray:
         return np.asarray(self.spec.p(t, self.pts), dtype=float)
@@ -423,33 +395,36 @@ def step_explicit(prev: SchemeState, eng: _Engine, n: int) -> SchemeState:
     return _step(prev, eng, n, "explicit")
 
 
-def _run_0d(eng: _Engine) -> tuple[np.ndarray, np.ndarray]:
+def _run_0d(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """The columns sigma and sigma* (N+1, 1, 3) of a 0d run, stepped as one
     recurrence over Python floats.
 
     Step n projects sigma*_n = sigma_{n-1} + dt h_n with the operations of
     ``tc.project_constraint_arr`` in its order, so every value, signed zeros
     included, is bit for bit the array kernel's.  Every scheme is that step;
-    the implicit fixed point is reached at once.  The data are sampled a
-    block of steps at a time, as ``_Engine.data`` samples them, and each
+    the implicit fixed point is reached at once.  The data are sampled
+    ``BLOCK_0D`` steps at a time, one call of h, p and g per block, and each
     block is stepped by ``_recurrence`` straight into the columns.
     """
-    spec = eng.spec
+    dt, pts = spec.dt, spec.pts
     sigma = np.empty((spec.N + 1, 1, 3))
     sigma_star = np.empty_like(sigma)
-    first = initial_state(spec, eng)
+    first = initial_state(spec)
     sigma[0], sigma_star[0] = first.sigma, first.sigma_star
-    n = 1
-    while n <= spec.N:
-        eng._sample_block(n)
-        h, p, g, _ = eng._block
-        # neg as a Python int: against a numpy scalar each step's test is a numpy call
-        stars, sigmas = _recurrence(sigma[n - 1, 0], spec.dt, h[:, 0], p[:, 0], g[:, 0], n,
-                                    int(eng._neg))
-        stop = n + len(g)
+    for n in range(1, spec.N + 1, BLOCK_0D):
+        stop = min(n + BLOCK_0D, spec.N + 1)
+        ns = np.arange(n, stop)
+        t = ns * dt
+        h = time_average(spec.h, ns, dt, pts)[:, 0]
+        p = np.asarray(spec.p(t, pts), dtype=float)[:, 0]
+        g = np.asarray(spec.g(t, pts), dtype=float)[:, 0]
+        # the first step with g < 0, as a Python int: against a numpy scalar
+        # each step's test is a numpy call
+        neg = np.flatnonzero(g < 0.0)
+        stars, sigmas = _recurrence(sigma[n - 1, 0], dt, h, p, g, n,
+                                    n + int(neg[0]) if len(neg) else stop)
         sigma_star[n:stop, 0] = np.frombuffer(stars).reshape(-1, 3)
         sigma[n:stop, 0] = np.frombuffer(sigmas).reshape(-1, 3)
-        n = stop
     return sigma, sigma_star
 
 
@@ -491,14 +466,14 @@ def _recurrence(s: np.ndarray, dt: float, h: np.ndarray, p: np.ndarray, g: np.nd
 def run(spec: ProblemSpec, scheme: str = "projection") -> Trajectory:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    eng = _Engine(spec)
     rows = spec.N + 1
     fp_converged = np.ones(rows, dtype=bool)
     if spec.space is None:
         # every scheme is the projection step; the implicit one counts one iteration
         fp_iters = np.full(rows, int(scheme == "implicit"))
         fp_iters[0] = 0
-        return Trajectory(spec, scheme, *_run_0d(eng), None, fp_iters, fp_converged)
+        return Trajectory(spec, scheme, *_run_0d(spec), None, fp_iters, fp_converged)
+    eng = _Engine(spec)
     # looked up per run, so a wrapper installed on a step function sees every step
     step = {"projection": step_projection, "implicit": step_implicit,
             "explicit": step_explicit}[scheme]

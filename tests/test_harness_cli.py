@@ -104,13 +104,28 @@ def test_missing_nu_names_the_field(tmp_path):
     ("verify", {"verify": "x"}),
     ("N", {"N": 2.7}),
     ("mesh.nx", {"mesh": {"nx": 3.5}}),
+    # catalog parameters: an object of finite numbers, each of its shape
+    ("f.params", {"f": {"name": "constant", "params": 3}}),
+    ("f.params.value", {"f": {"name": "constant", "params": {"value": "x"}}}),
+    ("f.params.value", {"f": {"name": "constant", "params": {"value": None}}}),
+    ("f.params.value", {"f": {"name": "constant", "params": {"value": [0.0, math.inf]}}}),
+    ("h.params.value", {"h": {"name": "constant", "params": {"value": [1.0, "x", 0.0]}}}),
+    ("h.params.width", {"h": {"name": "gaussian_bump_in_x", "params": {"width": "a"}}}),
+    ("h.params.width", {"h": {"name": "gaussian_bump_in_x", "params": {"width": 1e-200}}}),
+    ("p.params.slope", {"p": {"name": "linear_in_t", "params": {"slope": [1.0, 2.0]}}}),
+    ("g.params.value", {"g": {"name": "constant", "params": {"value": math.nan}}}),
+    ("g.params.value", {"g": {"name": "constant", "params": {"value": None}}}),
+    ("g.params.center", {"g": {"name": "gaussian_bump_in_x", "params": {"center": [0.5]}}}),
+    ("sigma0.params.amplitude",
+     {"sigma0": {"name": "radial_deviatoric", "params": {"amplitude": -math.inf}}}),
 ])
 def test_bad_number_exits_two_naming_the_field(tmp_path, capsys, field, overrides):
     path = write_config(tmp_path, "bad.json", **{"mode": "fem", **overrides})
     with pytest.raises(ConfigError, match=f"field '{field}'"):
         cli.parse_config(path)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert f"field '{field}'" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"field '{field}'" in err[0]
 
 
 def test_config_must_be_an_object(tmp_path, capsys):
@@ -534,11 +549,13 @@ def test_overflow_prints_one_stderr_line(tmp_path, overrides, message):
 
 def test_negative_g_at_the_last_step_exits_two(tmp_path, capsys):
     # g(T) = 0 passes parse_config, but t_7 = 7 * (0.9 / 7) rounds past T
-    path = write_config(tmp_path, "overshoot.json", T=0.9, N=7,
-                        g={"name": "linear_in_t", "params": {"base": 0.9, "slope": -1.0}})
-    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "field 'g'" in err[0] and "negative" in err[0]
+    for mode in ("0d", "fem"):
+        path = write_config(tmp_path, "overshoot.json", mode=mode, T=0.9, N=7,
+                            mesh={"nx": 4, "ny": 4},
+                            g={"name": "linear_in_t", "params": {"base": 0.9, "slope": -1.0}})
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: field 'g': negative yield radius at t=0.9000000000000001"]
 
 
 def test_diverging_implicit_run_exits_two(tmp_path, capsys):

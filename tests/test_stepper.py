@@ -135,7 +135,9 @@ DATA = {
 }
 
 
-def _check_block_data(spec):
+def _recording(spec):
+    """``spec`` with each data function recording the largest time of every
+    call, and the recorded times per role."""
     times = {role: [] for role in "fhpg"}
 
     def recorded(role):
@@ -146,46 +148,47 @@ def _check_block_data(spec):
             return fn(t, pts)
         return sample
 
-    eng = stepper._Engine(replace(spec, **{role: recorded(role) for role in times}))
+    return replace(spec, **{role: recorded(role) for role in times}), times
+
+
+@pytest.mark.parametrize("family", sorted(DATA))
+def test_fem_data_match_per_step_samples(family):
+    spec = small_fem_spec(N=7, T=0.9, **DATA[family])
+    recorded, times = _recording(spec)
+    eng = stepper._Engine(recorded)
     dt, pts = spec.dt, eng.pts
     for n in range(1, spec.N + 1):
         h_n, p_n, g_n, load = eng.data(n)
         _same_bits(h_n, _time_average_loop(spec.h, n, dt, pts))
         _same_bits(p_n, np.asarray(spec.p(n * dt, pts), dtype=float))
         _same_bits(g_n, np.asarray(spec.g(n * dt, pts), dtype=float))
-        if spec.space is None:
-            assert load is None
-        else:
-            _same_bits(load, body_load(spec.space, _time_average_loop(spec.f, n, dt, pts)))
-    # one call of each data function per block, none past t_N
-    blocks = -(-spec.N // eng.block_steps)
-    for role in "hpg" if spec.space is None else "fhpg":
-        assert len(times[role]) == blocks
-        assert max(times[role]) <= spec.N * dt
-    assert spec.space is not None or not times["f"]
+        _same_bits(load, body_load(spec.space, _time_average_loop(spec.f, n, dt, pts)))
+        # one call of each data function per step, none past t_n
+        for role in "fhpg":
+            assert len(times[role]) == n
+            assert times[role][-1] <= n * dt
 
 
 @pytest.mark.parametrize("family", sorted(DATA))
-def test_block_data_match_per_step_samples_0d(family):
-    block = stepper._Engine(radial_0d_spec()).block_steps
-    assert block > 1
+def test_0d_run_samples_each_block_once(family):
     # three whole blocks and a partial last one
+    block = stepper.BLOCK_0D
     spec = replace(radial_0d_spec(n_steps=3 * block + block // 2, total_time=1.3),
                    **DATA[family])
-    _check_block_data(spec)
-
-
-@pytest.mark.parametrize("family", sorted(DATA))
-def test_block_data_match_per_step_samples_fem(family):
-    block = stepper._Engine(small_fem_spec()).block_steps
-    assert block > 1
-    spec = small_fem_spec(N=3 * block + 5, T=0.9, **DATA[family])
-    _check_block_data(spec)
+    recorded, times = _recording(spec)
+    run(recorded)
+    # initial_state samples p and g at t = 0; then one call of h, p and g per
+    # block, none past t_N; f is never called
+    assert times["p"][0] == times["g"][0] == 0.0
+    for calls in (times["h"], times["p"][1:], times["g"][1:]):
+        assert len(calls) == 4
+        assert max(calls) <= spec.N * spec.dt
+    assert times["f"] == []
 
 
 def test_negative_g_in_a_later_block_names_its_step():
     spec = radial_0d_spec(n_steps=1, total_time=1.0)
-    block = stepper._Engine(spec).block_steps
+    block = stepper.BLOCK_0D
     n_steps = 3 * block
     dt = 1.0 / n_steps
     # inside the third block, and at step 2 block + 1, which opens it
@@ -201,7 +204,7 @@ def test_negative_g_in_a_later_block_names_its_step():
 @pytest.mark.parametrize("offset", [7, 1], ids=["mid_block", "block_start"])
 def test_non_finite_trial_stress_in_a_later_block_names_its_step(offset):
     spec = radial_0d_spec(n_steps=1, total_time=1.0)
-    block = stepper._Engine(spec).block_steps
+    block = stepper.BLOCK_0D
     spec = replace(spec, N=3 * block, T=3.0 * block)  # dt = 1
     first_bad = 2 * block + offset
     radial = spec.h
@@ -254,14 +257,17 @@ STEPS = {"projection": step_projection, "implicit": step_implicit,
 
 def _hand_states(spec, scheme):
     """A run as a list of states, one step per call: ``step_*`` in fem mode,
-    and in 0d one array-kernel projection per step on the engine's data."""
+    and in 0d one array-kernel projection per step on data sampled by scalar
+    calls."""
     eng = stepper._Engine(spec)
     states = [initial_state(spec, eng)]
     for n in range(1, spec.N + 1):
         if spec.space is not None:
             states.append(STEPS[scheme](states[-1], eng, n))
             continue
-        h_n, p_n, g_n, _ = eng.data(n)
+        h_n = _time_average_loop(spec.h, n, spec.dt, eng.pts)
+        p_n = np.asarray(spec.p(n * spec.dt, eng.pts), dtype=float)
+        g_n = np.asarray(spec.g(n * spec.dt, eng.pts), dtype=float)
         star = states[-1].sigma + spec.dt * h_n
         states.append(SchemeState(n, n * spec.dt, None, star,
                                   tc.project_constraint_arr(star, p_n, g_n),
@@ -297,7 +303,7 @@ ZERO_D_SPECS = {
 @pytest.mark.parametrize("scheme", stepper.SCHEMES)
 @pytest.mark.parametrize("case", sorted(ZERO_D_SPECS))
 def test_run_0d_is_bit_identical_to_the_array_kernel(case, scheme):
-    block = stepper._Engine(radial_0d_spec()).block_steps
+    block = stepper.BLOCK_0D
     # three whole blocks and a partial last one
     spec = ZERO_D_SPECS[case](3 * block + block // 2)
     got, want = run(spec, scheme), _run_0d_reference(spec, scheme)
