@@ -11,12 +11,16 @@ Roles and shapes (k = number of evaluation points):
 
 ``t`` is a scalar or a 1-D array of m times; an array gives one row per
 time, (m, k, ...), each bit-identical to the scalar call at that time.
-Every call returns a fresh, writable array.  The parameters are checked
-when a function is built: each number must be finite and have its shape,
-or a ``ParamError`` names its key.
+Every call returns a fresh, writable array.  A builder reads its ``params``
+through ``Fields`` (from Python, ``Fields(params, "params")``), the reader of
+every config object: a number is a JSON int or float, never a bool or a
+string, and a key that no read took is an error naming its field.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
@@ -25,48 +29,97 @@ class ConfigError(ValueError):
     """Invalid configuration content; maps to CLI exit code 2."""
 
 
-class ParamError(ConfigError):
-    """A bad entry ``key`` of a data function's ``params``, and why."""
-
-    def __init__(self, key: str, reason: str):
-        super().__init__(f"field 'params.{key}': {reason}")
-        self.key, self.reason = key, reason
+def _is_number(raw) -> bool:
+    """A JSON number: never a bool, nor an int past the float range."""
+    return isinstance(raw, float) or (type(raw) is int and abs(raw) <= sys.float_info.max)
 
 
-def _param(params, key, default, what, *shapes):
-    """``params[key]``, or ``default`` when left out, as a finite float array
-    of one of ``shapes``."""
-    raw = params.get(key, default)
-    try:
-        v = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        v = None
-    if v is None or v.shape not in shapes or not np.isfinite(v).all():
-        raise ParamError(key, f"expected {what}, got {raw!r}")
-    return v
+def _shape(raw):
+    """The shape of ``raw`` as nested lists of finite numbers, () for one, or
+    None: for a bool, a string, a non-finite number, ragged rows, ..."""
+    if _is_number(raw):
+        return () if math.isfinite(raw) else None
+    if not isinstance(raw, list):
+        return None
+    rows = set(map(_shape, raw)) or {()}
+    return None if len(rows) > 1 or None in rows else (len(raw), *rows.pop())
 
 
-def _scalar_value(params, key, default):
-    return float(_param(params, key, default, "a finite number", ()))
+class Fields:
+    """The JSON object ``obj`` at the dotted ``path`` ("" at the top level).
+    A default of ``...`` marks a required field; any other is returned as is."""
+
+    def __init__(self, obj, path: str):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"field {path!r}: expected an object, got {obj!r}")
+        self.obj, self.prefix, self.taken = obj, path + "." if path else "", set()
+
+    def error(self, key: str, reason: str) -> ConfigError:
+        return ConfigError(f"field {self.prefix + key!r}: {reason}")
+
+    def get(self, key: str, default=...):
+        self.taken.add(key)
+        if default is ... and key not in self.obj:
+            raise self.error(key, "required, but missing")
+        return self.obj.get(key, default)
+
+    def section(self, key: str, default=None) -> Fields:
+        """The object ``key``; ``default``, or else empty, when left out."""
+        return Fields(self.get(key, {} if default is None else default), self.prefix + key)
+
+    def number(self, key: str, default=..., integer: bool = False, lowest=None):
+        """Finite and > 0, or >= ``lowest``; integral floats pass as integers."""
+        raw = self.get(key, default)
+        if key not in self.obj:
+            return raw
+        if not _is_number(raw):
+            raise self.error(key, f"expected a number, got {raw!r}")
+        if integer and isinstance(raw, float) and not raw.is_integer():
+            # int() drops the fraction: N 2.7 would silently run 2 steps
+            raise self.error(key, f"expected an integer, got {raw!r}")
+        value = int(raw) if integer else float(raw)
+        if lowest is not None:
+            if not value >= lowest:
+                raise self.error(key, f"must be >= {lowest}, got {raw!r}")
+        elif not (math.isfinite(value) and value > 0.0):
+            raise self.error(key, f"must be finite and > 0, got {raw!r}")
+        return value
+
+    def array(self, key: str, default, what: str, *shapes) -> np.ndarray:
+        """A finite float array of one of ``shapes`` (a float for ()), or else of one axis."""
+        raw = self.get(key, default)
+        shape = _shape(raw)
+        if shape in shapes or (not shapes and shape is not None and len(shape) == 1):
+            return float(raw) if shape == () else np.asarray(raw, dtype=float)
+        raise self.error(key, f"expected {what}, got {raw!r}")
+
+    def close(self) -> None:
+        for key in self.obj:
+            if key not in self.taken:
+                raise self.error(key, "unknown key")
 
 
-def _tensor_value(params, key="value"):
-    v = _param(params, key, [0.0, 0.0, 0.0],
-               "3 finite packed entries or a finite 2x2 matrix", (3,), (2, 2))
+def _scalar_value(params: Fields, key, default):
+    return params.array(key, default, "a finite number", ())
+
+
+def _tensor_value(params: Fields, key="value"):
+    v = params.array(key, [0.0, 0.0, 0.0],
+                     "3 finite packed entries or a finite 2x2 matrix", (3,), (2, 2))
     return np.array([v[0, 0], v[0, 1], v[1, 1]]) if v.shape == (2, 2) else v
 
 
-def _vector_value(params, key="value"):
-    return _param(params, key, [0.0, 0.0], "2 finite entries", (2,))
+def _vector_value(params: Fields, key="value"):
+    return params.array(key, [0.0, 0.0], "2 finite entries", (2,))
 
 
-def _bump(params):
+def _bump(params: Fields):
     """The gaussian profile of ``params`` as a function of the points."""
-    center = _param(params, "center", [0.5, 0.5], "2 finite entries", (2,))
+    center = params.array("center", [0.5, 0.5], "2 finite entries", (2,))
     width = _scalar_value(params, "width", 0.2)
     # a width whose square underflows would divide 0 by 0 at the center
     if not (width > 0.0 and 2.0 * width**2 > 0.0):
-        raise ParamError("width", f"must be > 0, got {width!r}")
+        raise params.error("width", f"must be > 0, got {width!r}")
     return lambda pts: np.exp(-((pts - center) ** 2).sum(axis=1) / (2.0 * width**2))
 
 
@@ -96,52 +149,58 @@ def _linear(t, k, base, slope):
     return _fill(val.shape[:lead] + (k,) + val.shape[lead:], np.expand_dims(val, lead))
 
 
-def vector_fn(name: str, params: dict):
+def _closed(params: Fields, fn):
+    """``fn``, after ``params`` is checked for keys that no read took."""
+    params.close()
+    return fn
+
+
+def vector_fn(name: str, params: Fields):
     if name == "constant":
         val = _vector_value(params)
-        return lambda t, pts: _fill(np.shape(t) + (len(pts), 2), val)
+        return _closed(params, lambda t, pts: _fill(np.shape(t) + (len(pts), 2), val))
     if name == "linear_in_t":
         base = _vector_value(params, "base")
         slope = _vector_value(params, "slope")
-        return lambda t, pts: _linear(t, len(pts), base, slope)
+        return _closed(params, lambda t, pts: _linear(t, len(pts), base, slope))
     if name == "gaussian_bump_in_x":
         val = _vector_value(params)
         bump = _bump(params)
-        return lambda t, pts: _over_t(t, bump(pts)[:, None] * val)
+        return _closed(params, lambda t, pts: _over_t(t, bump(pts)[:, None] * val))
     raise ConfigError(f"unknown vector function {name!r}")
 
 
-def tensor_fn(name: str, params: dict):
+def tensor_fn(name: str, params: Fields):
     if name == "constant":
         val = _tensor_value(params)
-        return lambda t, pts: _fill(np.shape(t) + (len(pts), 3), val)
+        return _closed(params, lambda t, pts: _fill(np.shape(t) + (len(pts), 3), val))
     if name == "linear_in_t":
         base = _tensor_value(params, "base")
         slope = _tensor_value(params, "slope")
-        return lambda t, pts: _linear(t, len(pts), base, slope)
+        return _closed(params, lambda t, pts: _linear(t, len(pts), base, slope))
     if name == "radial_deviatoric":
         # amp * diag(1, -1): a pure deviator driving radial loading
         amp = _scalar_value(params, "amplitude", 1.0)
         val = amp * np.array([1.0, 0.0, -1.0])
-        return lambda t, pts: _fill(np.shape(t) + (len(pts), 3), val)
+        return _closed(params, lambda t, pts: _fill(np.shape(t) + (len(pts), 3), val))
     if name == "gaussian_bump_in_x":
         val = _tensor_value(params)
         bump = _bump(params)
-        return lambda t, pts: _over_t(t, bump(pts)[:, None] * val)
+        return _closed(params, lambda t, pts: _over_t(t, bump(pts)[:, None] * val))
     raise ConfigError(f"unknown tensor function {name!r}")
 
 
-def scalar_fn(name: str, params: dict):
+def scalar_fn(name: str, params: Fields):
     if name == "constant":
         val = _scalar_value(params, "value", 1.0)
-        return lambda t, pts: np.full(np.shape(t) + (len(pts),), val)
+        return _closed(params, lambda t, pts: np.full(np.shape(t) + (len(pts),), val))
     if name == "linear_in_t":
         base = _scalar_value(params, "base", 1.0)
         slope = _scalar_value(params, "slope", 0.0)
-        return lambda t, pts: _linear(t, len(pts), base, slope)
+        return _closed(params, lambda t, pts: _linear(t, len(pts), base, slope))
     if name == "gaussian_bump_in_x":
         amp = _scalar_value(params, "amplitude", 1.0)
         offset = _scalar_value(params, "offset", 0.0)
         bump = _bump(params)
-        return lambda t, pts: _over_t(t, offset + amp * bump(pts))
+        return _closed(params, lambda t, pts: _over_t(t, offset + amp * bump(pts)))
     raise ConfigError(f"unknown scalar function {name!r}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from . import verify as verify_mod
-from .catalog import ConfigError, ParamError, scalar_fn, tensor_fn, vector_fn
+from .catalog import ConfigError, Fields, scalar_fn, tensor_fn, vector_fn
 from .fem2d import SIDES, FemSpace, build_rect_mesh, write_vtk
 from .scenarios import explicit_blowup_spec
 from .stepper import (
@@ -83,79 +83,23 @@ class RunConfig:
     verify_params: dict = field(default_factory=dict)
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ConfigError(f"missing required field {key!r} in {where}")
-    return obj[key]
+def _build_fn(cfg: Fields, role: str, builder, default=None):
+    fn = cfg.section(role, default or {"name": "constant"})
+    name, params = fn.get("name"), fn.section("params")
+    fn.close()
+    return builder(name, params)
 
 
-def _number(obj: dict, key: str, kind, where: str, default=None, lowest=None,
-            prefix: str = ""):
-    """``kind(obj[key])``; it must be finite and > 0, or >= ``lowest`` if given.
-
-    A missing key takes ``default``, or is an error when there is none.
-    """
-    name = prefix + key
-    raw = _require(obj, key, where) if default is None else obj.get(key, default)
-    try:
-        value = kind(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"field {name!r}: expected a number, got {raw!r}") from exc
-    if kind is int and isinstance(raw, float) and value != raw:
-        # int() drops the fraction: N 2.7 would silently run 2 steps
-        raise ConfigError(f"field {name!r}: expected an integer, got {raw!r}")
-    if lowest is not None:
-        if not value >= lowest:
-            raise ConfigError(f"field {name!r}: must be >= {lowest}, got {raw!r}")
-    elif not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"field {name!r}: must be finite and > 0, got {raw!r}")
-    return value
-
-
-def _section(raw: dict, key: str) -> dict:
-    """The optional block ``raw[key]``: a JSON object, empty when left out."""
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"field {key!r}: expected an object, got {value!r}")
-    return value
-
-
-def _sides(mesh_cfg: dict) -> tuple[str, ...]:
-    """``mesh.gamma1``: a nonempty list of sides, by default the left one."""
-    raw = mesh_cfg.get("gamma1", ["left"])
-    if not (isinstance(raw, list) and raw and all(side in SIDES for side in raw)):
-        raise ConfigError(f"field 'mesh.gamma1': expected a nonempty list from "
-                          f"{'/'.join(SIDES)}, got {raw!r}")
-    return tuple(raw)
-
-
-def _build_fn(obj, role: str, builder, where: str):
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise ConfigError(f"{where}: expected {{'name': ..., 'params': {{...}}}} for {role}")
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"field '{role}.params': expected an object, got {params!r}")
-    try:
-        return builder(obj["name"], params)
-    except ParamError as exc:
-        raise ConfigError(f"field '{role}.params.{exc.key}': {exc.reason}") from exc
-
-
-def _dt_list(raw, total_t: float) -> list[float]:
-    """``study.dt_list``: each dt finite, > 0 and a divisor of T.
-
-    A study runs N = round(T / dt) steps, so a dt that does not divide T
-    would silently become T / N.
-    """
-    try:
-        dts = [float(v) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'study.dt_list': expected a list of numbers, got {raw!r}") from exc
+def _dt_list(study: Fields, total_t: float) -> list[float]:
+    """``study.dt_list``: strictly decreasing, each dt > 0 and a divisor of T,
+    since a study runs N = round(T / dt) steps: else dt would become T / N."""
+    dts = study.array("dt_list", [], "a list of finite numbers").tolist()
     for dt in dts:
         n = total_t / dt if dt > 0.0 else math.nan
         if not (math.isfinite(n) and abs(round(n) * dt - total_t) <= 1e-9 * total_t):
-            raise ConfigError(f"field 'study.dt_list': each dt must be > 0 and divide "
-                              f"T = {total_t!r}, got {dt!r}")
+            raise study.error("dt_list", f"each dt must be > 0 and divide T = {total_t!r}, got {dt!r}")
+    if any(b >= a for a, b in zip(dts, dts[1:])):
+        raise study.error("dt_list", "must be strictly decreasing")
     return dts
 
 
@@ -170,42 +114,58 @@ def parse_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
 
-    mode = raw.get("mode", "fem")
+    cfg = Fields(raw, "")
+    mode = cfg.get("mode", "fem")
     if mode not in ("fem", "0d"):
         raise ConfigError(f"mode must be 'fem' or '0d', got {mode!r}")
-    nu = _number(raw, "nu", float, path)
-    total_t = _number(raw, "T", float, path)
-    n_steps = _number(raw, "N", int, path, lowest=1)
-    scheme = raw.get("scheme", "projection")
+    nu = cfg.number("nu")
+    total_t = cfg.number("T")
+    n_steps = cfg.number("N", integer=True, lowest=1)
+    scheme = cfg.get("scheme", "projection")
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
 
-    f_fn = _build_fn(raw.get("f", {"name": "constant"}), "f", vector_fn, path)
-    h_fn = _build_fn(raw.get("h", {"name": "constant"}), "h", tensor_fn, path)
-    p_fn = _build_fn(raw.get("p", {"name": "constant"}), "p", tensor_fn, path)
-    g_fn = _build_fn(raw.get("g", {"name": "constant", "params": {"value": 1.0}}),
-                     "g", scalar_fn, path)
+    f_fn = _build_fn(cfg, "f", vector_fn)
+    h_fn = _build_fn(cfg, "h", tensor_fn)
+    p_fn = _build_fn(cfg, "p", tensor_fn)
+    g_fn = _build_fn(cfg, "g", scalar_fn, {"name": "constant", "params": {"value": 1.0}})
     v0_fn = s0_fn = None
-    if raw.get("v0") is not None:
-        vf = _build_fn(raw["v0"], "v0", vector_fn, path)
+    if cfg.get("v0", None) is not None:
+        vf = _build_fn(cfg, "v0", vector_fn)
         v0_fn = lambda pts: vf(0.0, pts)
-    if raw.get("sigma0") is not None:
-        sf = _build_fn(raw["sigma0"], "sigma0", tensor_fn, path)
+    if cfg.get("sigma0", None) is not None:
+        sf = _build_fn(cfg, "sigma0", tensor_fn)
         s0_fn = lambda pts: sf(0.0, pts)
 
     # the mesh fields are checked in 0d mode too, where they go unused
-    mesh_cfg = _section(raw, "mesh")
-    mesh_args = (
-        _number(mesh_cfg, "nx", int, path, default=8, lowest=1, prefix="mesh."),
-        _number(mesh_cfg, "ny", int, path, default=8, lowest=1, prefix="mesh."),
-        _number(mesh_cfg, "lx", float, path, default=1.0, prefix="mesh."),
-        _number(mesh_cfg, "ly", float, path, default=1.0, prefix="mesh."),
-        _sides(mesh_cfg),
-    )
+    mesh = cfg.section("mesh")
+    nx, ny = (mesh.number(key, 8, integer=True, lowest=1) for key in ("nx", "ny"))
+    lx, ly = mesh.number("lx", 1.0), mesh.number("ly", 1.0)
+    sides = mesh.get("gamma1", ["left"])
+    if not (isinstance(sides, list) and sides and all(side in SIDES for side in sides)):
+        raise mesh.error("gamma1", f"expected a nonempty list from {'/'.join(SIDES)}, got {sides!r}")
+    mesh.close()
+    study = cfg.section("study")
+    dt_list = _dt_list(study, total_t)
+    ref_n = study.number("ref_N", 0, integer=True, lowest=0)
+    if ref_n and any(round(total_t / dt) >= ref_n for dt in dt_list):
+        raise study.error("ref_N", "must be strictly finer than every study dt")
+    study.close()
+    output = cfg.section("output")
+    vtk_stride = output.number("vtk_stride", 0, integer=True, lowest=0)
+    output.close()
+    verify_cfg = cfg.section("verify")
+    # the counts left out take the defaults of verify.run_all
+    counts = {key: verify_cfg.number(key, integer=True, lowest=1)
+              for key in VERIFY_COUNTS if key in verify_cfg.obj}
+    verify_cfg.close()
+    seed = cfg.number("seed", 0, integer=True, lowest=0)
+    cfg.close()
+
     space = None
     if mode == "fem":
         try:
-            space = FemSpace(build_rect_mesh(*mesh_args))
+            space = FemSpace(build_rect_mesh(nx, ny, lx, ly, tuple(sides)))
         except ValueError as exc:  # e.g. element areas that underflow to 0
             raise ConfigError(f"field 'mesh': {exc}") from exc
     spec = ProblemSpec(nu=nu, T=total_t, N=n_steps, space=space,
@@ -217,27 +177,8 @@ def parse_config(path) -> RunConfig:
     if len(negative):
         raise ConfigError(f"field 'g': negative yield radius at t={times[negative[0]]}")
     initial_state(spec)
-
-    study = _section(raw, "study")
-    dt_list = _dt_list(study.get("dt_list", []), total_t)
-    if dt_list and any(b >= a for a, b in zip(dt_list, dt_list[1:])):
-        raise ConfigError("field 'study.dt_list': must be strictly decreasing")
-    ref_n = _number(study, "ref_N", int, path, default=0, lowest=0, prefix="study.")
-    if ref_n:
-        for dt in dt_list:
-            if round(total_t / dt) >= ref_n:
-                raise ConfigError("field 'study.ref_N': must be strictly finer than every study dt")
-
-    verify_cfg = _section(raw, "verify")
-    return RunConfig(
-        spec=spec, scheme=scheme, dt_list=dt_list, ref_n=ref_n,
-        seed=_number(raw, "seed", int, path, default=0, lowest=0),
-        vtk_stride=_number(_section(raw, "output"), "vtk_stride", int, path, default=0,
-                           lowest=0, prefix="output."),
-        # the counts left out take the defaults of verify.run_all
-        verify_params={key: _number(verify_cfg, key, int, path, lowest=1, prefix="verify.")
-                       for key in VERIFY_COUNTS if key in verify_cfg},
-    )
+    return RunConfig(spec=spec, scheme=scheme, dt_list=dt_list, ref_n=ref_n, seed=seed,
+                     vtk_stride=vtk_stride, verify_params=counts)
 
 
 # -- study drivers --------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .catalog import scalar_fn, tensor_fn, vector_fn
+from .catalog import Fields, scalar_fn, tensor_fn, vector_fn
 from .fem2d import FemSpace, build_rect_mesh
 from .stepper import ProblemSpec
 
@@ -20,10 +20,10 @@ def radial_0d_spec(n_steps: int = 2000, total_time: float = 2.0) -> ProblemSpec:
     """
     return ProblemSpec(
         nu=1.0, T=total_time, N=n_steps, space=None,
-        f=vector_fn("constant", {"value": [0, 0]}),
-        h=tensor_fn("radial_deviatoric", {"amplitude": 1.0}),
-        p=tensor_fn("constant", {}),
-        g=scalar_fn("constant", {"value": 1.0}),
+        f=vector_fn("constant", Fields({"value": [0, 0]}, "params")),
+        h=tensor_fn("radial_deviatoric", Fields({"amplitude": 1.0}, "params")),
+        p=tensor_fn("constant", Fields({}, "params")),
+        g=scalar_fn("constant", Fields({"value": 1.0}, "params")),
     )
 
 
@@ -35,10 +35,10 @@ def growing_yield_0d_spec(n_steps: int = 2000, total_time: float = 4.0) -> Probl
     """
     return ProblemSpec(
         nu=1.0, T=total_time, N=n_steps, space=None,
-        f=vector_fn("constant", {"value": [0, 0]}),
-        h=tensor_fn("radial_deviatoric", {"amplitude": 1.0}),
-        p=tensor_fn("constant", {}),
-        g=scalar_fn("linear_in_t", {"base": 1.0, "slope": 1.0}),
+        f=vector_fn("constant", Fields({"value": [0, 0]}, "params")),
+        h=tensor_fn("radial_deviatoric", Fields({"amplitude": 1.0}, "params")),
+        p=tensor_fn("constant", Fields({}, "params")),
+        g=scalar_fn("linear_in_t", Fields({"base": 1.0, "slope": 1.0}, "params")),
     )
 
 
@@ -52,10 +52,10 @@ def unit_square_spec(n_steps: int = 200, mesh_n: int = 16,
     return ProblemSpec(
         nu=1.0, T=1.0, N=n_steps,
         space=FemSpace(build_rect_mesh(mesh_n, mesh_n, 1.0, 1.0, ("left",))),
-        f=vector_fn("constant", {"value": [0.0, -force]}),
-        h=tensor_fn("constant", {}),
-        p=tensor_fn("constant", {}),
-        g=scalar_fn("constant", {"value": 1.0}),
+        f=vector_fn("constant", Fields({"value": [0.0, -force]}, "params")),
+        h=tensor_fn("constant", Fields({}, "params")),
+        p=tensor_fn("constant", Fields({}, "params")),
+        g=scalar_fn("constant", Fields({"value": 1.0}, "params")),
     )
 
 
@@ -66,14 +66,14 @@ def explicit_blowup_spec(n_steps: int = 10) -> ProblemSpec:
     never caps the runaway stress.  Non-gating: used only to illustrate the
     conditional stability of the explicit variant.
     """
-    bump = vector_fn("gaussian_bump_in_x",
-                     {"value": [1.0, 0.0], "center": [0.5, 0.5], "width": 0.15})
+    bump = vector_fn("gaussian_bump_in_x", Fields(
+        {"value": [1.0, 0.0], "center": [0.5, 0.5], "width": 0.15}, "params"))
     return ProblemSpec(
         nu=1e-4, T=1.0, N=n_steps,
         space=FemSpace(build_rect_mesh(16, 16, 1.0, 1.0, ("left", "right", "top", "bottom"))),
-        f=vector_fn("constant", {"value": [0.0, 0.0]}),
-        h=tensor_fn("constant", {}),
-        p=tensor_fn("constant", {}),
-        g=scalar_fn("constant", {"value": 1e9}),
+        f=vector_fn("constant", Fields({"value": [0.0, 0.0]}, "params")),
+        h=tensor_fn("constant", Fields({}, "params")),
+        p=tensor_fn("constant", Fields({}, "params")),
+        g=scalar_fn("constant", Fields({"value": 1e9}, "params")),
         v0=lambda pts: bump(0.0, pts),
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plastiproj.catalog import scalar_fn, tensor_fn, vector_fn
+from plastiproj.catalog import ConfigError, Fields, scalar_fn, tensor_fn, vector_fn
 
 BUILDERS = [
     (vector_fn, "constant", {"value": [1.0, -2.0]}, (2,)),
@@ -21,7 +21,7 @@ BUILDERS = [
                          ids=[f"{b.__name__}-{n}" for b, n, _, _ in BUILDERS])
 @pytest.mark.parametrize("k", [1, 5])
 def test_builder_returns_fresh_writable_array(builder, name, params, tail, k):
-    fn = builder(name, params)
+    fn = builder(name, Fields(params, "params"))
     pts = np.linspace(0.0, 1.0, 2 * k).reshape(k, 2)
     first = fn(0.3, pts)
     assert first.shape == (k, *tail)
@@ -58,7 +58,7 @@ VALUES = [
 @pytest.mark.parametrize("builder, name, params, want", VALUES,
                          ids=[f"{b.__name__}-{n}" for b, n, _, _ in VALUES])
 def test_point_independent_builder_values(builder, name, params, want):
-    fn = builder(name, params)
+    fn = builder(name, Fields(params, "params"))
     pts = np.linspace(0.0, 1.0, 8).reshape(4, 2)
     times = np.array([0.0, 0.3, 1.7])
     for t, row in zip(times, fn(times, pts)):
