@@ -85,7 +85,7 @@ class Fields:
             raise self.error(key, f"must be finite and > 0, got {raw!r}")
         return value
 
-    def array(self, key: str, default, what: str, *shapes) -> np.ndarray:
+    def array(self, key: str, default, what: str, *shapes) -> float | np.ndarray:
         """A finite float array of one of ``shapes`` (a float for ()), or else of one axis."""
         raw = self.get(key, default)
         shape = _shape(raw)
@@ -94,9 +94,8 @@ class Fields:
         raise self.error(key, f"expected {what}, got {raw!r}")
 
     def close(self) -> None:
-        for key in self.obj:
-            if key not in self.taken:
-                raise self.error(key, "unknown key")
+        if not self.taken.issuperset(self.obj):
+            raise self.error(next(k for k in self.obj if k not in self.taken), "unknown key")
 
 
 def _scalar_value(params: Fields, key, default):

@@ -2,13 +2,15 @@
 
 Subcommands: run | stability | convergence | verify, each taking
 --config <path>, --out <dir>, optional --seed <int>.  Exit codes: 0 success,
-1 verification failure, 2 configuration error or numerical failure.
+1 verification failure, 2 configuration error, numerical failure or outputs
+that cannot be written.
 
 Configs are JSON; every data function is referenced by catalog name plus
-parameters so a run is reproducible from the file alone.  CSV layouts are
-frozen and documented in the README; all numeric cells are finite and
-formatted with %.17g, so repeated runs with the same config and seed are
-byte-identical.
+parameters so a run is reproducible from the file alone.  Every config
+object is read through ``catalog.Fields``.  CSV layouts are frozen and
+documented in the README; every cell is checked finite before a table is
+written and formatted with %.17g, so repeated runs with the same config and
+seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ class RunConfig:
     verify_params: dict = field(default_factory=dict)
 
 
-def _build_fn(cfg: Fields, role: str, builder, default=None):
-    fn = cfg.section(role, default or {"name": "constant"})
+def _build_fn(cfg: Fields, role: str, builder):
+    fn = cfg.section(role, {"name": "constant"})
     name, params = fn.get("name"), fn.section("params")
     fn.close()
     return builder(name, params)
@@ -128,7 +130,7 @@ def parse_config(path) -> RunConfig:
     f_fn = _build_fn(cfg, "f", vector_fn)
     h_fn = _build_fn(cfg, "h", tensor_fn)
     p_fn = _build_fn(cfg, "p", tensor_fn)
-    g_fn = _build_fn(cfg, "g", scalar_fn, {"name": "constant", "params": {"value": 1.0}})
+    g_fn = _build_fn(cfg, "g", scalar_fn)  # a constant g defaults to 1
     v0_fn = s0_fn = None
     if cfg.get("v0", None) is not None:
         vf = _build_fn(cfg, "v0", vector_fn)
@@ -192,6 +194,14 @@ def _slack_min(traj: Trajectory, n: int) -> float:
     return float(tc.yield_slack_arr(traj.sigma[n], p_n, g_n).min())
 
 
+def _finite_row(row: dict, where: str) -> dict:
+    """``row``, or a RuntimeError naming its first non-finite cell and ``where``."""
+    for key, value in row.items():
+        if not math.isfinite(value):
+            raise RuntimeError(f"non-finite {key} at {where}")
+    return row
+
+
 def _warn_unconverged(traj: Trajectory, where: str = "") -> None:
     """One stderr line if an implicit step stopped at the Picard iteration cap."""
     steps = np.flatnonzero(~traj.fp_converged)
@@ -243,12 +253,11 @@ def cmd_stability(cfg: RunConfig, out_dir) -> list[dict]:
         spec = cfg.spec.with_steps(n)
         traj = run(spec, cfg.scheme)
         _warn_unconverged(traj, f"dt={dt}: ")
-        vals = discrete_norms(traj).as_dict()
         en = energy_report(traj)
-        if not all(math.isfinite(v) for v in vals.values()):
-            raise RuntimeError(f"non-finite norm at dt={dt}")
-        rows.append({"dt": spec.dt, "N": n, **vals, "energy_lhs_max": float(en.lhs.max()),
-                     "energy_rhs": en.rhs, "energy_ok": en.ok})
+        rows.append(_finite_row(
+            {"dt": spec.dt, "N": n, **discrete_norms(traj).as_dict(),
+             "energy_lhs_max": float(en.lhs.max()), "energy_rhs": en.rhs, "energy_ok": en.ok},
+            f"dt={dt}"))
     _write_table(os.path.join(out_dir, "stability.csv"), rows)
     return rows
 
@@ -278,7 +287,7 @@ def cmd_convergence(cfg: RunConfig, out_dir) -> list[dict]:
                 # the observed slope of log e over log dt
                 orders["order_" + key[4:]] = (math.log2(prev[key] / errs[key])
                                               / math.log2(n / prev["N"]))
-        rows.append({"N": n, "dt": cfg.spec.T / n, **errs, **orders})
+        rows.append(_finite_row({"N": n, "dt": cfg.spec.T / n, **errs, **orders}, f"N={n}"))
         prev = rows[-1]
     _write_table(os.path.join(out_dir, "convergence.csv"), rows)
     return rows
@@ -355,6 +364,9 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as exc:  # a non-finite solve, trial stress or norm
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the outputs cannot be written, e.g. --out names a file
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -237,6 +237,10 @@ def _negative_g(t: float) -> ConfigError:
     return ConfigError(f"field 'g': negative yield radius at t={t}")
 
 
+def _norm_overflow(n: int) -> RuntimeError:
+    return RuntimeError(f"deviator norm of the trial stress at step {n} overflows")
+
+
 class _Engine:
     """Per-run context: the spec's space, its sampling points and its step
     matrices.
@@ -355,7 +359,10 @@ def _step(prev: SchemeState, eng: _Engine, n: int, scheme: str) -> SchemeState:
         sigma_star = prev.sigma + dt * (strain_of(eng.space, v) + h_n)
         if not np.isfinite(sigma_star).all():
             raise RuntimeError(f"trial stress at step {n} is non-finite")
-        return sigma_star, tc.project_constraint_arr(sigma_star, p_n, g_n)
+        try:
+            return sigma_star, tc.project_constraint_arr(sigma_star, p_n, g_n)
+        except OverflowError:
+            raise _norm_overflow(n) from None
 
     if scheme == "explicit":
         v = eng.solve_momentum(eng.solve_visc, prev, n, load, prev.sigma)
@@ -439,7 +446,7 @@ def _recurrence(s: np.ndarray, dt: float, h: np.ndarray, p: np.ndarray, g: np.nd
     table, so the same loop deep in a long function traces many times slower.
     """
     s0, s1, s2 = s.tolist()
-    isfinite, sqrt = math.isfinite, math.sqrt
+    isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
     stars, sigmas = array("d"), array("d")
     for (h0, h1, h2), (p0, p1, p2), gn in zip(h.tolist(), p.tolist(), g.tolist()):
         if n >= neg:
@@ -453,7 +460,12 @@ def _recurrence(s: np.ndarray, dt: float, h: np.ndarray, p: np.ndarray, g: np.nd
         sph, sph1 = half * 1.0, half * 0.0
         d0, d1, d2 = b0 - sph, b1 - sph1, b2 - sph
         nd = sqrt(d0 * d0 + 2.0 * d1 * d1 + d2 * d2)
-        scale = gn / nd if nd > gn else 1.0
+        if nd > gn:
+            if nd == inf:  # a clip to a scale of 0, not onto the ball
+                raise _norm_overflow(n)
+            scale = gn / nd
+        else:
+            scale = 1.0
         s0 = (sph + scale * d0) - p0
         s1 = (sph1 + scale * d1) - p1
         s2 = (sph + scale * d2) - p2

@@ -199,8 +199,12 @@ def proj_dev_ball_arr(s: np.ndarray, radius: np.ndarray) -> np.ndarray:
     sph = 0.5 * trace_arr(s)[..., None] * _SPH2
     dev = s - sph
     nd = frob_norm_arr(dev)
+    clip = nd > radius
+    # a finite deviator whose norm overflows would be scaled to 0, not onto the ball
+    if (clip & np.isinf(nd)).any():
+        raise OverflowError("the norm of a deviator overflows")
     # divides only where nd > radius >= 0, so never by zero
-    scale = np.divide(radius, nd, out=np.ones_like(nd), where=nd > radius)
+    scale = np.divide(radius, nd, out=np.ones_like(nd), where=clip)
     return sph + scale[..., None] * dev
 
 

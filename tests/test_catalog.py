@@ -64,3 +64,12 @@ def test_point_independent_builder_values(builder, name, params, want):
     for t, row in zip(times, fn(times, pts)):
         np.testing.assert_allclose(row, np.broadcast_to(want(t), row.shape), rtol=1e-15)
         np.testing.assert_allclose(fn(float(t), pts), row, rtol=0.0)
+
+
+@pytest.mark.parametrize("builder, name", [
+    (vector_fn, "constant"), (tensor_fn, "radial_deviatoric"), (scalar_fn, "gaussian_bump_in_x"),
+], ids=["vector_fn", "tensor_fn", "scalar_fn"])
+def test_builder_rejects_an_unknown_parameter(builder, name):
+    # a misspelled key would otherwise leave its parameter at the default
+    with pytest.raises(ConfigError, match=r"^field 'params\.valu': unknown key$"):
+        builder(name, Fields({"valu": 0.5}, "params"))

@@ -118,6 +118,23 @@ def test_missing_nu_names_the_field(tmp_path):
     ("g.params.center", {"g": {"name": "gaussian_bump_in_x", "params": {"center": [0.5]}}}),
     ("sigma0.params.amplitude",
      {"sigma0": {"name": "radial_deviatoric", "params": {"amplitude": -math.inf}}}),
+    # a number is a JSON number: never a bool or a numeric string
+    ("N", {"N": True}),
+    ("nu", {"nu": "1.5"}),
+    ("g.params.value", {"g": {"name": "constant", "params": {"value": True}}}),
+    ("f.params.value", {"f": {"name": "constant", "params": {"value": [0, True]}}}),
+    ("study.dt_list", {"study": {"dt_list": "1"}}),
+    ("study.dt_list", {"study": {"dt_list": [True]}}),
+    # an unknown key at each level, which would otherwise be ignored
+    ("sheme", {"sheme": "implicit"}),
+    ("mesh.n", {"mesh": {"n": 4}}),
+    ("study.ref_n", {"study": {"ref_n": 100}}),
+    ("output.vtk", {"output": {"vtk": 5}}),
+    ("verify.n_sample", {"verify": {"n_sample": 10}}),
+    ("g.parms", {"g": {"name": "constant", "parms": {"value": 0.5}}}),
+    ("g.params.valu", {"g": {"name": "constant", "params": {"valu": 0.5}}}),
+    # null is not a data function, and not the default one either
+    ("f", {"f": None}),
 ])
 def test_bad_number_exits_two_naming_the_field(tmp_path, capsys, field, overrides):
     path = write_config(tmp_path, "bad.json", **{"mode": "fem", **overrides})
@@ -521,6 +538,17 @@ def test_numerical_failure_exits_two_with_one_line(tmp_path, capsys):
         "numerical failure: momentum solve at step 1 gave a non-finite velocity")
 
 
+def run_cli(*args):
+    """The CLI in a fresh process, so numpy warnings reach stderr as they would."""
+    code = ("import sys; from plastiproj.harness_cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))),
+    )
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"mode": "fem", "N": 3, "mesh": {"nx": 2, "ny": 2},
       "f": {"name": "constant", "params": {"value": [0.0, 1e308]}},
@@ -529,22 +557,65 @@ def test_numerical_failure_exits_two_with_one_line(tmp_path, capsys):
     ({"N": 3, "h": {"name": "constant", "params": {"value": [1e308, 0.0, -1e308]}},
       "g": {"name": "constant", "params": {"value": 1e308}}},
      "trial stress at step 1 is non-finite"),
-], ids=["fem_overflow", "0d_overflow"])
+    # a finite trial stress whose deviator norm overflows: scaled by g / inf
+    # it would collapse to its spherical part
+    ({"N": 4, "h": {"name": "linear_in_t", "params": {"slope": [1e155, 0.0, -1e155]}},
+      "g": {"name": "constant", "params": {"value": 1e170}}},
+     "deviator norm of the trial stress at step 2 overflows"),
+    ({"mode": "fem", "N": 4, "mesh": {"nx": 2, "ny": 2},
+      "h": {"name": "radial_deviatoric", "params": {"amplitude": 1e155}},
+      "g": {"name": "constant", "params": {"value": 1e170}}},
+     "deviator norm of the trial stress at step 1 overflows"),
+], ids=["fem_overflow", "0d_overflow", "0d_norm_overflow", "fem_norm_overflow"])
 def test_overflow_prints_one_stderr_line(tmp_path, overrides, message):
-    # a fresh process, so numpy warnings reach stderr as they would from the CLI
     path = write_config(tmp_path, "huge.json", **overrides)
     out = tmp_path / "o"
-    code = ("import sys; from plastiproj.harness_cli import main; "
-            "sys.exit(main(sys.argv[1:]))")
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "run", "--config", str(path), "--out", str(out)],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [SRC, os.environ.get("PYTHONPATH")]))),
-    )
+    proc = run_cli("run", "--config", str(path), "--out", str(out))
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"numerical failure: {message}"]
     assert not (out / "norms.csv").exists()
+
+
+def test_deviator_norm_below_overflow_scales_linearly(tmp_path):
+    # the run that overflows above, at 1e150: no clip, sigma_l2 grows with h
+    path = write_config(tmp_path, "big.json", mode="fem", N=4, mesh={"nx": 2, "ny": 2},
+                        h={"name": "radial_deviatoric", "params": {"amplitude": 1e150}},
+                        g={"name": "constant", "params": {"value": 1e170}})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    _, rows = read_csv(tmp_path / "o" / "norms.csv")
+    assert float(rows[-1][3]) == pytest.approx(1.03e150, rel=0.01)
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    # p shifts the constraint by 1e160, so the energy terms overflow to inf
+    ("stability", {"mode": "fem", "N": 4, "mesh": {"nx": 4, "ny": 4},
+                   "f": {"name": "constant", "params": {"value": [0.0, -1.0]}},
+                   "p": {"name": "constant", "params": {"value": [1e160, 0.0, 1e160]}},
+                   "study": {"dt_list": [0.5, 0.25]}},
+     "non-finite energy_lhs_max at dt=0.5"),
+    # a spherical stress of order 1e156: the squared errors overflow
+    ("convergence", {"N": 4, "h": {"name": "linear_in_t",
+                                   "params": {"slope": [1e157, 0.0, 1e157]}},
+                     "study": {"dt_list": [0.5, 0.25], "ref_N": 8}},
+     "non-finite err_sigma_LinfH at N=2"),
+], ids=["stability", "convergence"])
+def test_non_finite_study_cell_exits_two(tmp_path, command, overrides, message):
+    path = write_config(tmp_path, "huge.json", **overrides)
+    out = tmp_path / "o"
+    proc = run_cli(command, "--config", str(path), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"numerical failure: {message}"]
+    assert not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, sub", [("run", ""), ("verify", "sub")])
+def test_out_that_is_not_a_directory_exits_two(tmp_path, capsys, command, sub):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / sub if sub else tmp_path / "file"
+    path = write_config(tmp_path, "a.json")
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("output error: ") and str(out) in err[0]
 
 
 def test_negative_g_at_the_last_step_exits_two(tmp_path, capsys):

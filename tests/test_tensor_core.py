@@ -193,6 +193,17 @@ def test_proj_dev_ball_arr_zero_radius_spherical_input():
     assert out.tobytes() == s.tobytes()
 
 
+def test_proj_dev_ball_arr_rejects_a_clipped_deviator_whose_norm_overflows():
+    # the squares of the finite entries 1e155 overflow, so the norm is inf
+    s = np.array([[1e155, 0.0, -1e155], [1.0, 0.0, -1.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(OverflowError):
+            tc.proj_dev_ball_arr(s, np.array([1e170, 1.0]))
+        # an infinite radius clips nothing, so there is nothing to scale
+        out = tc.proj_dev_ball_arr(s, np.array([np.inf, 2.0]))
+    assert out.tobytes() == s.tobytes()
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_stack_matches_scalar_api(d):
     rng = np.random.default_rng(4)
