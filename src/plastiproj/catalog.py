@@ -49,6 +49,8 @@ class Fields:
     """The JSON object ``obj`` at the dotted ``path`` ("" at the top level).
     A default of ``...`` marks a required field; any other is returned as is."""
 
+    __slots__ = ("obj", "prefix", "taken")
+
     def __init__(self, obj, path: str):
         if not isinstance(obj, dict):
             raise ConfigError(f"field {path!r}: expected an object, got {obj!r}")
@@ -88,6 +90,8 @@ class Fields:
     def array(self, key: str, default, what: str, *shapes) -> float | np.ndarray:
         """A finite float array of one of ``shapes`` (a float for ()), or else of one axis."""
         raw = self.get(key, default)
+        if key not in self.obj:  # a default has its shape already
+            return float(raw) if () in shapes else np.asarray(raw, dtype=float)
         shape = _shape(raw)
         if shape in shapes or (not shapes and shape is not None and len(shape) == 1):
             return float(raw) if shape == () else np.asarray(raw, dtype=float)
