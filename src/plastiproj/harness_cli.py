@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # a non-finite solve, trial stress or norm
+    except RuntimeError as exc:  # a non-finite solve, trial stress, norm or table cell
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # the outputs cannot be written, e.g. --out names a file
