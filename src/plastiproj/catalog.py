@@ -29,6 +29,12 @@ class ConfigError(ValueError):
     """Invalid configuration content; maps to CLI exit code 2."""
 
 
+# the largest value of an integer field: up to it every count is exact as a
+# float, and an array of that many items fails to allocate (MemoryError)
+# before its size can pass numpy's limit, where numpy raises a ValueError
+MAX_INTEGER = 2**53
+
+
 def _is_number(raw) -> bool:
     """A JSON number: never a bool, nor an int past the float range."""
     return isinstance(raw, float) or (type(raw) is int and abs(raw) <= sys.float_info.max)
@@ -70,7 +76,8 @@ class Fields:
         return Fields(self.get(key, {} if default is None else default), self.prefix + key)
 
     def number(self, key: str, default=..., integer: bool = False, lowest=None):
-        """Finite and > 0, or >= ``lowest``; integral floats pass as integers."""
+        """Finite and > 0, or >= ``lowest``; integral floats pass as integers,
+        which are at most ``MAX_INTEGER``."""
         raw = self.get(key, default)
         if key not in self.obj:
             return raw
@@ -80,6 +87,8 @@ class Fields:
             # int() drops the fraction: N 2.7 would silently run 2 steps
             raise self.error(key, f"expected an integer, got {raw!r}")
         value = int(raw) if integer else float(raw)
+        if integer and value > MAX_INTEGER:
+            raise self.error(key, f"must be <= 2**53, got {raw!r}")
         if lowest is not None:
             if not value >= lowest:
                 raise self.error(key, f"must be >= {lowest}, got {raw!r}")

@@ -1,7 +1,7 @@
 """Structured triangular meshes, P1 vector velocity, P0 stress, assembly.
 
 Element pair: continuous piecewise-linear vector velocity with homogeneous
-Dirichlet values on the tagged part of the boundary, and element-constant
+Dirichlet values on the clamped nodes of the boundary, and element-constant
 symmetric stress.  The symmetric gradient of a P1 field is element-constant,
 so the stress update and the pointwise projection are exact per element.
 
@@ -9,7 +9,7 @@ dof layout: node k owns dofs (2k, 2k+1) for the (x, y) velocity components.
 Stress fields are (n_elements, 3) arrays packed as (s00, s01, s11), matching
 ``tensor_core``.
 
-The traction-free condition on the untagged boundary part is the natural
+The traction-free condition on the rest of the boundary is the natural
 boundary condition of the weak form; no surface terms are assembled.
 """
 
@@ -27,17 +27,15 @@ from scipy.sparse.linalg import eigsh
 from .linalg import SparseSym, cg_solve, factorized_solve, spmv  # noqa: F401
 from .tensor_core import frob_inner_arr
 
-GAMMA1 = "gamma1"
-GAMMA2 = "gamma2"
-
-SIDES = ("left", "right", "top", "bottom")
+# the boundary sides, each as the index of its nodes in the (ny + 1, nx + 1) node grid
+SIDES = {"left": np.s_[:, 0], "right": np.s_[:, -1], "top": np.s_[-1], "bottom": np.s_[0]}
 
 
 @dataclass
 class Mesh2D:
     nodes: np.ndarray          # (n_nodes, 2)
     triangles: np.ndarray      # (n_el, 3), counterclockwise
-    boundary_edges: list[tuple[int, int, str]]
+    clamped: np.ndarray        # (n_nodes,) bool: the nodes of the Dirichlet part
     areas: np.ndarray = field(init=False)
     centroids: np.ndarray = field(init=False)
     # int32 dofs (vx0, vy0, vx1, vy1, vx2, vy2) of each element, (n_el, 6)
@@ -56,7 +54,7 @@ class Mesh2D:
         self.dofs = np.empty((len(self.triangles), 6), dtype=np.int32)
         self.dofs[:, 0::2] = 2 * self.triangles
         self.dofs[:, 1::2] = 2 * self.triangles + 1
-        if not any(tag == GAMMA1 for _, _, tag in self.boundary_edges):
+        if not self.clamped.any():
             raise ValueError("the Dirichlet boundary part must be nonempty")
 
     @property
@@ -72,10 +70,8 @@ class Mesh2D:
         return 2 * self.n_nodes
 
     def dirichlet_mask(self) -> np.ndarray:
-        """True on both dofs of every node on a gamma1 edge."""
-        mask = np.zeros((self.n_nodes, 2), dtype=bool)
-        mask[[n for a, b, tag in self.boundary_edges if tag == GAMMA1 for n in (a, b)]] = True
-        return mask.ravel()
+        """True on both dofs of every clamped node."""
+        return np.repeat(self.clamped, 2)
 
 
 def build_rect_mesh(nx: int, ny: int, lx: float, ly: float, gamma1) -> Mesh2D:
@@ -105,16 +101,11 @@ def build_rect_mesh(nx: int, ny: int, lx: float, ly: float, gamma1) -> Mesh2D:
     n10, n01 = n00 + 1, n00 + nx + 1
     tris = np.column_stack([n00, n10, n01 + 1, n00, n01 + 1, n01]).reshape(-1, 3)
 
-    # boundary edges: bottom and top of each column, then left and right of each row
-    bottom = np.column_stack([np.arange(nx), np.arange(1, nx + 1)])
-    left = np.column_stack([np.arange(ny), np.arange(1, ny + 1)]) * (nx + 1)
-    pairs = np.concatenate([np.hstack([bottom, bottom + ny * (nx + 1)]).reshape(-1, 2),
-                            np.hstack([left, left + nx]).reshape(-1, 2)])
-    sides = ["bottom", "top"] * nx + ["left", "right"] * ny
-    edges = [(a, b, GAMMA1 if side in gamma1 else GAMMA2)
-             for (a, b), side in zip(pairs.tolist(), sides)]
+    clamped = np.zeros((ny + 1, nx + 1), dtype=bool)
+    for side in gamma1:
+        clamped[SIDES[side]] = True
 
-    return Mesh2D(nodes=nodes, triangles=tris, boundary_edges=edges)
+    return Mesh2D(nodes=nodes, triangles=tris, clamped=clamped.ravel())
 
 
 # -- assembly ----------------------------------------------------------------
@@ -298,8 +289,12 @@ class FemSpace:
         r = np.where(self.mask, 0.0, r)
         return float(np.sqrt(max(r @ self._dual_solve(r), 0.0)))
 
+    def stress_inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """(a, b)_H: the area-weighted sum of a : b over (n_el, 3) stresses."""
+        return float((self.mesh.areas * frob_inner_arr(a, b)).sum())
+
     def stress_l2(self, data: np.ndarray) -> float:
-        return float(np.sqrt(max((self.mesh.areas * frob_inner_arr(data, data)).sum(), 0.0)))
+        return float(np.sqrt(max(self.stress_inner(data, data), 0.0)))
 
 
 # -- VTK legacy ASCII ---------------------------------------------------------

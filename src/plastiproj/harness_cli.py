@@ -2,8 +2,8 @@
 
 Subcommands: run | stability | convergence | verify, each taking
 --config <path>, --out <dir>, optional --seed <int>.  Exit codes: 0 success,
-1 verification failure, 2 configuration error, numerical failure or outputs
-that cannot be written.
+1 verification failure, 2 configuration error, numerical failure, outputs
+that cannot be written or memory that runs out.
 
 Configs are JSON; every data function is referenced by catalog name plus
 parameters so a run is reproducible from the file alone.  Every config
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from . import verify as verify_mod
-from .catalog import ConfigError, Fields, scalar_fn, tensor_fn, vector_fn
+from .catalog import MAX_INTEGER, ConfigError, Fields, scalar_fn, tensor_fn, vector_fn
 from .fem2d import SIDES, FemSpace, build_rect_mesh, write_vtk
 from .scenarios import explicit_blowup_spec
 from .stepper import (
@@ -59,16 +59,12 @@ def _fmt(x) -> str:
     return _FMT % float(x)
 
 
-def _write_csv(path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_table(path, rows: list[dict]) -> None:
+def _write_csv(path, rows: list[dict]) -> None:
     """A CSV with the keys of the row dicts as its header."""
-    _write_csv(path, list(rows[0]), [list(row.values()) for row in rows])
+    with open(path, "w") as fh:
+        fh.write(",".join(rows[0]) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
 
 
 # -- configuration -------------------------------------------------------------
@@ -94,12 +90,15 @@ def _build_fn(cfg: Fields, role: str, builder):
 
 def _dt_list(study: Fields, total_t: float) -> list[float]:
     """``study.dt_list``: strictly decreasing, each dt > 0 and a divisor of T,
-    since a study runs N = round(T / dt) steps: else dt would become T / N."""
+    since a study runs N = round(T / dt) steps: else dt would become T / N.
+    N is bounded as the integer fields are."""
     dts = study.array("dt_list", [], "a list of finite numbers").tolist()
     for dt in dts:
         n = total_t / dt if dt > 0.0 else math.nan
         if not (math.isfinite(n) and abs(round(n) * dt - total_t) <= 1e-9 * total_t):
             raise study.error("dt_list", f"each dt must be > 0 and divide T = {total_t!r}, got {dt!r}")
+        if round(n) > MAX_INTEGER:
+            raise study.error("dt_list", f"T / dt must be <= 2**53, got {dt!r}")
     if any(b >= a for a, b in zip(dts, dts[1:])):
         raise study.error("dt_list", "must be strictly decreasing")
     return dts
@@ -113,6 +112,9 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # e.g. an integer literal of 5000 digits, or lists nested past the recursion limit
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
 
@@ -123,6 +125,8 @@ def parse_config(path) -> RunConfig:
     nu = cfg.number("nu")
     total_t = cfg.number("T")
     n_steps = cfg.number("N", integer=True, lowest=1)
+    if total_t / n_steps == 0.0:
+        raise cfg.error("N", f"T / N underflows to 0 with T = {total_t!r}, got {n_steps}")
     scheme = cfg.get("scheme", "projection")
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -150,6 +154,8 @@ def parse_config(path) -> RunConfig:
     study = cfg.section("study")
     dt_list = _dt_list(study, total_t)
     ref_n = study.number("ref_N", 0, integer=True, lowest=0)
+    if ref_n and total_t / ref_n == 0.0:
+        raise study.error("ref_N", f"T / ref_N underflows to 0 with T = {total_t!r}, got {ref_n}")
     if ref_n and any(round(total_t / dt) >= ref_n for dt in dt_list):
         raise study.error("ref_N", "must be strictly finer than every study dt")
     study.close()
@@ -224,11 +230,11 @@ def cmd_run(cfg: RunConfig, out_dir) -> Trajectory:
         else:
             v_l2 = 0.0
             s_l2 = float(np.sqrt(tc.frob_inner_arr(sigma, sigma).sum()))
-        row = [n, n * traj.spec.dt, v_l2, s_l2, _slack_min(traj, n)]
-        if not all(math.isfinite(x) for x in row[2:]):
-            raise RuntimeError(f"non-finite norm at step {n}")
-        # the frozen cg_iters column: the factored solve makes no iterations
-        rows.append(row + [0])
+        row = {"n": n, "t": n * traj.spec.dt, "v_l2": v_l2, "sigma_l2": s_l2,
+               "yield_slack_min": _slack_min(traj, n),
+               # the frozen cg_iters column: the factored solve makes no iterations
+               "cg_iters": 0}
+        rows.append(_finite_row(row, f"step {n}"))
         if cfg.vtk_stride > 0 and traj.mesh is not None and n % cfg.vtk_stride == 0:
             write_vtk(
                 os.path.join(out_dir, f"snapshot_{n:06d}.vtk"),
@@ -236,8 +242,7 @@ def cmd_run(cfg: RunConfig, out_dir) -> Trajectory:
                 point_vectors={"velocity": traj.v[n]},
                 cell_tensors={"stress": sigma},
             )
-    _write_csv(os.path.join(out_dir, "norms.csv"),
-               ["n", "t", "v_l2", "sigma_l2", "yield_slack_min", "cg_iters"], rows)
+    _write_csv(os.path.join(out_dir, "norms.csv"), rows)
     return traj
 
 
@@ -258,7 +263,7 @@ def cmd_stability(cfg: RunConfig, out_dir) -> list[dict]:
             {"dt": spec.dt, "N": n, **discrete_norms(traj).as_dict(),
              "energy_lhs_max": float(en.lhs.max()), "energy_rhs": en.rhs, "energy_ok": en.ok},
             f"dt={dt}"))
-    _write_table(os.path.join(out_dir, "stability.csv"), rows)
+    _write_csv(os.path.join(out_dir, "stability.csv"), rows)
     return rows
 
 
@@ -289,7 +294,7 @@ def cmd_convergence(cfg: RunConfig, out_dir) -> list[dict]:
                                               / math.log2(n / prev["N"]))
         rows.append(_finite_row({"N": n, "dt": cfg.spec.T / n, **errs, **orders}, f"N={n}"))
         prev = rows[-1]
-    _write_table(os.path.join(out_dir, "convergence.csv"), rows)
+    _write_csv(os.path.join(out_dir, "convergence.csv"), rows)
     return rows
 
 
@@ -313,13 +318,13 @@ def cmd_verify(cfg: RunConfig, out_dir) -> int:
         # a negative tolerance can never pass; it falls through as a failure
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.name}: max violation {res.max_violation:.3e} (tol {res.tol:.1e})")
-        rows.append([res.name, res.max_violation, res.tol, res.passed])
+        rows.append({"suite": res.name, "max_violation": res.max_violation, "tol": res.tol,
+                     "passed": res.passed})
         failed = failed or not res.passed
     demo = explicit_demo_report()
     print(f"INFO explicit_blowup_demo (non-gating): velocity growth factor "
           f"{demo['growth']:.3e} over one run")
-    _write_csv(os.path.join(out_dir, "verify.csv"),
-               ["suite", "max_violation", "tol", "passed"], rows)
+    _write_csv(os.path.join(out_dir, "verify.csv"), rows)
     return 1 if failed else 0
 
 
@@ -367,6 +372,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:  # the outputs cannot be written, e.g. --out names a file
         print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. the columns of a run with too many steps
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .catalog import Fields, scalar_fn, tensor_fn, vector_fn
 from .fem2d import FemSpace, build_rect_mesh
 from .stepper import ProblemSpec
-
-# deviatoric loading direction diag(1, -1), packed
-RADIAL_DIR = np.array([1.0, 0.0, -1.0])
 
 
 def radial_0d_spec(n_steps: int = 2000, total_time: float = 2.0) -> ProblemSpec:

@@ -105,6 +105,8 @@ class ProblemSpec:
             raise ValueError("T must be finite and > 0")
         if self.N < 1:
             raise ValueError("N must be >= 1")
+        if self.dt == 0.0:
+            raise ValueError("T / N must be > 0, but it underflows to 0")
 
     @property
     def mode(self) -> str:
@@ -371,13 +373,12 @@ def _step(prev: SchemeState, eng: _Engine, n: int, scheme: str) -> SchemeState:
     sigma_star, sigma = update(v)
     if scheme != "implicit":
         return SchemeState(n, t_n, v, sigma_star, sigma)
-    areas = eng.mesh.areas
     last, grown = math.inf, 0
     for it in range(1, FP_MAX_ITER + 1):
         v = eng.solve_momentum(eng.solve_visc, prev, n, load, sigma)
         sigma_star, sigma_next = update(v)
         diff = sigma_next - sigma
-        dist = math.sqrt(max((areas * tc.frob_inner_arr(diff, diff)).sum(), 0.0))
+        dist = math.sqrt(max(eng.space.stress_inner(diff, diff), 0.0))
         sigma = sigma_next
         if dist <= FP_TOL:
             return SchemeState(n, t_n, v, sigma_star, sigma, fp_iters=it)
@@ -425,21 +426,17 @@ def _run_0d(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
         h = time_average(spec.h, ns, dt, pts)[:, 0]
         p = np.asarray(spec.p(t, pts), dtype=float)[:, 0]
         g = np.asarray(spec.g(t, pts), dtype=float)[:, 0]
-        # the first step with g < 0, as a Python int: against a numpy scalar
-        # each step's test is a numpy call
-        neg = np.flatnonzero(g < 0.0)
-        stars, sigmas = _recurrence(sigma[n - 1, 0], dt, h, p, g, n,
-                                    n + int(neg[0]) if len(neg) else stop)
+        stars, sigmas = _recurrence(sigma[n - 1, 0], dt, h, p, g, n)
         sigma_star[n:stop, 0] = np.frombuffer(stars).reshape(-1, 3)
         sigma[n:stop, 0] = np.frombuffer(sigmas).reshape(-1, 3)
     return sigma, sigma_star
 
 
 def _recurrence(s: np.ndarray, dt: float, h: np.ndarray, p: np.ndarray, g: np.ndarray,
-                n: int, neg: int) -> tuple[array, array]:
+                n: int) -> tuple[array, array]:
     """Steps n, n + 1, ... of the 0d recurrence on one sampled block (the
-    rows of h, p and g), from sigma_{n-1} = s; g < 0 from step ``neg`` on.
-    Returns the rows of sigma* and sigma, flat.
+    rows of h, p and g), from sigma_{n-1} = s.  Returns the rows of sigma*
+    and sigma, flat.
 
     Kept short and apart from ``_run_0d``: tracemalloc charges every float
     the loop allocates to a line it finds by scanning the function's line
@@ -449,7 +446,7 @@ def _recurrence(s: np.ndarray, dt: float, h: np.ndarray, p: np.ndarray, g: np.nd
     isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
     stars, sigmas = array("d"), array("d")
     for (h0, h1, h2), (p0, p1, p2), gn in zip(h.tolist(), p.tolist(), g.tolist()):
-        if n >= neg:
+        if gn < 0.0:
             raise _negative_g(n * dt)
         a0, a1, a2 = s0 + dt * h0, s1 + dt * h1, s2 + dt * h2
         if not (isfinite(a0) and isfinite(a1) and isfinite(a2)):
@@ -521,12 +518,8 @@ def discrete_norms(traj: Trajectory) -> NormReport:
         raise ValueError("discrete norms need a fem-mode trajectory")
     spec, space = traj.spec, traj.space
     dt = spec.dt
-    areas = traj.mesh.areas
     mass = space.mass
-
-    def h_inner(a, b):
-        return float((areas * tc.frob_inner_arr(a, b)).sum())
-
+    inner = space.stress_inner
     dual_sq = 0.0
     l2v_sq = 0.0
     gap_v = 0.0
@@ -545,10 +538,10 @@ def discrete_norms(traj: Trajectory) -> NormReport:
         linf_v = max(linf_v, space.l2_norm(v))
         linf_ss = max(linf_ss, space.stress_l2(traj.sigma_star[n]))
         linf_s = max(linf_s, space.stress_l2(b))
-        gap_sigma += h_inner(b - traj.sigma_star[n], b - traj.sigma_star[n])
-        h1_sq += (dt / 3.0) * (h_inner(a, a) + h_inner(a, b) + h_inner(b, b))
+        gap_sigma += inner(b - traj.sigma_star[n], b - traj.sigma_star[n])
+        h1_sq += (dt / 3.0) * (inner(a, a) + inner(a, b) + inner(b, b))
         ds = (b - a) / dt
-        h1_sq += dt * h_inner(ds, ds)
+        h1_sq += dt * inner(ds, ds)
     return NormReport(
         dual_norm_dv=math.sqrt(dual_sq),
         linf_H_vbar=linf_v,
@@ -649,35 +642,34 @@ def energy_report(traj: Trajectory) -> EnergyReport:
     """
     if traj.space is None:
         raise ValueError("energy report needs a fem-mode trajectory")
-    spec, space, mesh = traj.spec, traj.space, traj.mesh
+    spec, space = traj.spec, traj.space
     eng = _Engine(spec)
     dt = spec.dt
-    areas = mesh.areas
-
-    def h_sq(a):
-        return float((areas * tc.frob_inner_arr(a, a)).sum())
+    inner = space.stress_inner
 
     ck = korn_constant(space)
     c2 = math.e * max(2.0 * ck**2 / spec.nu, 2.0 / spec.nu, 4.0)
 
-    p_prev = eng.p_at(0.0)
+    p0 = p_prev = eng.p_at(0.0)
     rhs_sum = 0.0
     lhs = np.zeros(spec.N)
     strain_acc = 0.0
     for n in range(1, spec.N + 1):
         h_n, p_n, _, f_n = eng.data(n)
         dp = (p_n - p_prev) / dt
-        rhs_sum += space.dual_norm(f_n) ** 2 + h_sq(p_n) + h_sq(dp) + h_sq(h_n)
+        rhs_sum += space.dual_norm(f_n) ** 2 + inner(p_n, p_n) + inner(dp, dp) + inner(h_n, h_n)
         v = traj.v[n]
         strain_acc += float(v @ spmv(space.strain_stiff, v))
+        s_star, s = traj.sigma_star[n] + p_n, traj.sigma[n] + p_n
         lhs[n - 1] = (
             space.l2_norm(v) ** 2
-            + 0.5 * h_sq(traj.sigma_star[n] + p_n)
-            + 0.5 * h_sq(traj.sigma[n] + p_n)
+            + 0.5 * inner(s_star, s_star)
+            + 0.5 * inner(s, s)
             + spec.nu * dt * strain_acc
         )
         p_prev = p_n
     rhs = c2 * (
-        space.l2_norm(traj.v[0]) ** 2 + h_sq(traj.sigma[0]) + h_sq(eng.p_at(0.0)) + dt * rhs_sum
+        space.l2_norm(traj.v[0]) ** 2 + inner(traj.sigma[0], traj.sigma[0]) + inner(p0, p0)
+        + dt * rhs_sum
     )
     return EnergyReport(lhs=lhs, rhs=rhs, korn=ck, c2=c2, ok=bool(np.all(lhs <= rhs)))

@@ -6,8 +6,6 @@ import pytest
 from plastiproj import fem2d, stepper
 from plastiproj.fem2d import (
     FemSpace,
-    GAMMA1,
-    GAMMA2,
     apply_dirichlet,
     assemble_mass,
     body_load,
@@ -25,22 +23,21 @@ def test_minimal_mesh_counts():
     mesh = build_rect_mesh(1, 1, 1.0, 1.0, "left")
     assert mesh.n_nodes == 4
     assert mesh.n_elements == 2
-    tags = [tag for _, _, tag in mesh.boundary_edges]
-    assert tags.count(GAMMA1) == 1
-    assert tags.count(GAMMA2) == 3
+    np.testing.assert_array_equal(mesh.clamped, [True, False, True, False])
+    np.testing.assert_array_equal(mesh.dirichlet_mask(), [1, 1, 0, 0, 1, 1, 0, 0])
 
 
 def test_all_clamped_mesh_counts():
     mesh = build_rect_mesh(2, 2, 1.0, 1.0, ("left", "right", "top", "bottom"))
     assert mesh.n_nodes == 9
     assert mesh.n_elements == 8
-    tags = [tag for _, _, tag in mesh.boundary_edges]
-    assert tags.count(GAMMA1) == 8
-    assert tags.count(GAMMA2) == 0
+    # every node but the centre one
+    assert np.flatnonzero(~mesh.clamped).tolist() == [4]
 
 
 def reference_rect_mesh(nx, ny, lx, ly, gamma1):
-    """Nodes, triangles and boundary edges of build_rect_mesh, cell by cell."""
+    """Nodes, triangles and clamped nodes of build_rect_mesh, cell by cell:
+    a node is clamped when it ends a boundary edge on a gamma1 side."""
     gamma1 = {gamma1} if isinstance(gamma1, str) else set(gamma1)
     xx, yy = np.meshgrid(np.linspace(0.0, lx, nx + 1), np.linspace(0.0, ly, ny + 1))
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
@@ -56,17 +53,18 @@ def reference_rect_mesh(nx, ny, lx, ly, gamma1):
             tris.append((n00, n10, n11))
             tris.append((n00, n11, n01))
 
-    def tag(side):
-        return GAMMA1 if side in gamma1 else GAMMA2
-
     edges = []
     for ix in range(nx):
-        edges.append((nid(ix, 0), nid(ix + 1, 0), tag("bottom")))
-        edges.append((nid(ix, ny), nid(ix + 1, ny), tag("top")))
+        edges.append((nid(ix, 0), nid(ix + 1, 0), "bottom"))
+        edges.append((nid(ix, ny), nid(ix + 1, ny), "top"))
     for iy in range(ny):
-        edges.append((nid(0, iy), nid(0, iy + 1), tag("left")))
-        edges.append((nid(nx, iy), nid(nx, iy + 1), tag("right")))
-    return nodes, np.array(tris, dtype=int), edges
+        edges.append((nid(0, iy), nid(0, iy + 1), "left"))
+        edges.append((nid(nx, iy), nid(nx, iy + 1), "right"))
+    clamped = np.zeros(len(nodes), dtype=bool)
+    for a, b, side in edges:
+        if side in gamma1:
+            clamped[[a, b]] = True
+    return nodes, np.array(tris, dtype=int), clamped
 
 
 @pytest.mark.parametrize("nx, ny, lx, ly, gamma1", [
@@ -78,12 +76,12 @@ def reference_rect_mesh(nx, ny, lx, ly, gamma1):
 ])
 def test_rect_mesh_matches_cell_loop(nx, ny, lx, ly, gamma1):
     mesh = build_rect_mesh(nx, ny, lx, ly, gamma1)
-    nodes, tris, edges = reference_rect_mesh(nx, ny, lx, ly, gamma1)
+    nodes, tris, clamped = reference_rect_mesh(nx, ny, lx, ly, gamma1)
     np.testing.assert_array_equal(mesh.nodes, nodes)
     assert mesh.triangles.dtype == tris.dtype
     np.testing.assert_array_equal(mesh.triangles, tris)
-    assert mesh.boundary_edges == edges
-    assert all(type(a) is int and type(b) is int for a, b, _ in mesh.boundary_edges)
+    assert mesh.clamped.dtype == bool
+    np.testing.assert_array_equal(mesh.clamped, clamped)
 
 
 def test_total_area():

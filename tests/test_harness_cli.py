@@ -135,6 +135,16 @@ def test_missing_nu_names_the_field(tmp_path):
     ("g.params.valu", {"g": {"name": "constant", "params": {"valu": 0.5}}}),
     # null is not a data function, and not the default one either
     ("f", {"f": None}),
+    # counts past 2**53, rejected before any array is allocated
+    ("N", {"N": 10**30}),
+    ("N", {"N": 2**62}),
+    ("N", {"N": 2**53 + 1}),
+    ("mesh.nx", {"mesh": {"nx": 1e30}}),
+    ("verify.n_samples", {"verify": {"n_samples": 10**30}}),
+    ("study.dt_list", {"study": {"dt_list": [1e-300]}}),
+    # dt = T / N would be 0
+    ("N", {"T": 5e-324, "N": 2}),
+    ("study.ref_N", {"T": 5e-324, "N": 1, "study": {"ref_N": 2}}),
 ])
 def test_bad_number_exits_two_naming_the_field(tmp_path, capsys, field, overrides):
     path = write_config(tmp_path, "bad.json", **{"mode": "fem", **overrides})
@@ -210,6 +220,19 @@ def test_invalid_json_reports_line(tmp_path):
     path.write_text("{\n  \"nu\": ,\n}")
     with pytest.raises(ConfigError, match=r":2:"):
         cli.parse_config(path)
+
+
+@pytest.mark.parametrize("text", [
+    # past Python's limit of 4300 digits for an integer string
+    '{"nu": ' + "1" * 5000 + "}",
+    "[" * 100_000 + "]" * 100_000,
+], ids=["long_integer", "deep_nesting"])
+def test_unreadable_json_exits_two_naming_the_file(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: {path}: invalid JSON: ")
 
 
 # -- cmd_run ------------------------------------------------------------------------
@@ -524,6 +547,20 @@ def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--config", str(missing), "--out", str(tmp_path / "o3")]) == 2
 
 
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 8.00 PiB"), "out of memory: Unable to allocate 8.00 PiB"),
+    (MemoryError(), "out of memory: an allocation failed"),
+])
+def test_memory_error_exits_two_with_one_line(tmp_path, capsys, monkeypatch, error, line):
+    def cmd_run(cfg, out_dir):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_run", cmd_run)
+    path = write_config(tmp_path, "a.json")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_numerical_failure_exits_two_with_one_line(tmp_path, capsys):
     path = write_config(
         tmp_path, "huge.json", mode="fem", N=3,
@@ -598,7 +635,10 @@ def test_deviator_norm_below_overflow_scales_linearly(tmp_path):
                                    "params": {"slope": [1e157, 0.0, 1e157]}},
                      "study": {"dt_list": [0.5, 0.25], "ref_N": 8}},
      "non-finite err_sigma_LinfH at N=2"),
-], ids=["stability", "convergence"])
+    # the same stress in a run: its norm overflows at the first step
+    ("run", {"N": 4, "h": {"name": "linear_in_t", "params": {"slope": [1e157, 0.0, 1e157]}}},
+     "non-finite sigma_l2 at step 1"),
+], ids=["stability", "convergence", "run"])
 def test_non_finite_study_cell_exits_two(tmp_path, command, overrides, message):
     path = write_config(tmp_path, "huge.json", **overrides)
     out = tmp_path / "o"

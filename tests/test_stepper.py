@@ -57,6 +57,8 @@ def test_problem_spec_validation():
         replace(good, T=float("inf"))
     with pytest.raises(ValueError):
         replace(good, N=0)
+    with pytest.raises(ValueError, match="underflows"):
+        replace(good, T=5e-324, N=2)
     assert good.with_steps(17).N == 17
     assert good.with_steps(17).dt == pytest.approx(good.T / 17)
 
