@@ -147,11 +147,6 @@ def _fill(shape, val):
     return out
 
 
-def _over_t(t, per_t):
-    """``per_t`` (k, ...) repeated for every time of ``t``, as a fresh array."""
-    return np.full(np.shape(t) + per_t.shape, per_t)
-
-
 def _linear(t, k, base, slope):
     """base + t * slope at each time, repeated over k points: (k, *tail) or
     (m, k, *tail).  ``np.multiply.outer`` makes the same products as the
@@ -178,7 +173,8 @@ def vector_fn(name: str, params: Fields):
     if name == "gaussian_bump_in_x":
         val = _vector_value(params)
         bump = _bump(params)
-        return _closed(params, lambda t, pts: _over_t(t, bump(pts)[:, None] * val))
+        return _closed(params, lambda t, pts: _fill(np.shape(t) + (len(pts), 2),
+                                                    bump(pts)[:, None] * val))
     raise ConfigError(f"unknown vector function {name!r}")
 
 
@@ -198,7 +194,8 @@ def tensor_fn(name: str, params: Fields):
     if name == "gaussian_bump_in_x":
         val = _tensor_value(params)
         bump = _bump(params)
-        return _closed(params, lambda t, pts: _over_t(t, bump(pts)[:, None] * val))
+        return _closed(params, lambda t, pts: _fill(np.shape(t) + (len(pts), 3),
+                                                    bump(pts)[:, None] * val))
     raise ConfigError(f"unknown tensor function {name!r}")
 
 
@@ -214,5 +211,7 @@ def scalar_fn(name: str, params: Fields):
         amp = _scalar_value(params, "amplitude", 1.0)
         offset = _scalar_value(params, "offset", 0.0)
         bump = _bump(params)
-        return _closed(params, lambda t, pts: _over_t(t, offset + amp * bump(pts)))
+        # np.full, not _fill: a per-point value would be copied one point at a time
+        return _closed(params, lambda t, pts: np.full(np.shape(t) + (len(pts),),
+                                                      offset + amp * bump(pts)))
     raise ConfigError(f"unknown scalar function {name!r}")

@@ -203,9 +203,9 @@ class FemSpace:
     initial state assemble none.  The strain operator B (``strain_op``), its
     transpose and the strain stiffness B' W B are built together from one
     set of element blocks of B: the strain applies B, the stress load its
-    transpose.  The H1 matrices, the dual-norm factor and the Korn constant
-    serve the norms.  A study shares one space across its runs, so each is
-    built at most once.
+    transpose.  The H1 Gram matrix, its constrained factor (the dual norm)
+    and the Korn constant serve the norms.  A study shares one space across
+    its runs, so each is built at most once.
     """
 
     def __init__(self, mesh: Mesh2D):
@@ -245,21 +245,13 @@ class FemSpace:
     strain_op_t = property(lambda self: self._strain_operators[2])
 
     @cached_property
-    def grad_stiff(self) -> SparseSym:
-        return assemble_grad_stiffness(self.mesh)
-
-    @cached_property
     def h1_gram(self) -> SparseSym:
-        return self.mass + self.grad_stiff
-
-    @cached_property
-    def h1_gram_c(self) -> SparseSym:
-        """The H1 Gram matrix with the constrained dofs eliminated."""
-        return apply_dirichlet(self.h1_gram, self.mask)
+        return self.mass + assemble_grad_stiffness(self.mesh)
 
     @cached_property
     def _dual_solve(self):
-        return factorized_solve(self.h1_gram_c)
+        """Solve with the H1 Gram matrix, its constrained dofs eliminated."""
+        return factorized_solve(apply_dirichlet(self.h1_gram, self.mask))
 
     @cached_property
     def korn(self) -> float:
@@ -269,6 +261,8 @@ class FemSpace:
         the free dofs (K strain stiffness, G H1 Gram), found by shift-invert
         Lanczos about 0.  The fixed start vector keeps reruns byte-identical.
         """
+        if self.mask.all():  # the zero space, where eigsh has no eigenvalue to find
+            return 0.0
         free = ~self.mask
         g = self.h1_gram[free][:, free].tocsc()
         k = self.strain_stiff[free][:, free].tocsc()
@@ -306,32 +300,20 @@ def _rows(fmt: str, a: np.ndarray) -> str:
     return (fmt * len(a)) % tuple(a.ravel().tolist())
 
 
-def write_vtk(
-    path,
-    mesh: Mesh2D,
-    point_vectors: dict[str, np.ndarray] | None = None,
-    cell_tensors: dict[str, np.ndarray] | None = None,
-    title: str = "plastiproj snapshot",
-) -> None:
-    """Legacy ASCII VTK with P1 vectors as POINT_DATA and P0 tensors as CELL_DATA."""
+def write_vtk(path, mesh: Mesh2D, velocity: np.ndarray, stress: np.ndarray) -> None:
+    """Legacy ASCII VTK of a P1 velocity dof vector as POINT_DATA and a P0
+    packed stress (n_el, 3) as CELL_DATA."""
     m = mesh.n_elements
-    parts = [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+    parts = ["# vtk DataFile Version 3.0\nplastiproj snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n"
              f"POINTS {mesh.n_nodes} double\n",
              _rows("%.17g %.17g 0\n", mesh.nodes),
              f"CELLS {m} {4 * m}\n",
              _rows("3 %d %d %d\n", mesh.triangles),
-             f"CELL_TYPES {m}\n" + "5\n" * m]
-    if point_vectors:
-        parts.append(f"POINT_DATA {mesh.n_nodes}\n")
-        for name, vals in point_vectors.items():
-            parts.append(f"VECTORS {name} double\n")
-            parts.append(_rows("%.17g %.17g 0\n", np.asarray(vals).reshape(-1, 2)))
-    if cell_tensors:
-        parts.append(f"CELL_DATA {m}\n")
-        for name, vals in cell_tensors.items():
-            parts.append(f"TENSORS {name} double\n")
-            # packed (s00, s01, s11) as the rows (s00 s01 0), (s01 s11 0), (0 0 0)
-            parts.append(_rows("%.17g %.17g 0\n%.17g %.17g 0\n0 0 0\n",
-                               np.asarray(vals)[:, [0, 1, 1, 2]]))
+             f"CELL_TYPES {m}\n" + "5\n" * m,
+             f"POINT_DATA {mesh.n_nodes}\nVECTORS velocity double\n",
+             _rows("%.17g %.17g 0\n", velocity.reshape(-1, 2)),
+             f"CELL_DATA {m}\nTENSORS stress double\n",
+             # packed (s00, s01, s11) as the rows (s00 s01 0), (s01 s11 0), (0 0 0)
+             _rows("%.17g %.17g 0\n%.17g %.17g 0\n0 0 0\n", stress[:, [0, 1, 1, 2]])]
     with open(path, "w") as fh:
         fh.write("".join(parts))

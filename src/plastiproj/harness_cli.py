@@ -35,6 +35,7 @@ from .stepper import (
     ProblemSpec,
     Trajectory,
     _check_nested,
+    _Engine,
     convergence_errors,
     discrete_norms,
     energy_report,
@@ -180,11 +181,9 @@ def parse_config(path) -> RunConfig:
                        f=f_fn, h=h_fn, p=p_fn, g=g_fn, v0=v0_fn, sigma0=s0_fn)
 
     # data validation: g >= 0 on a t-sample grid, sigma0 feasible at t = 0
-    times = np.linspace(0.0, total_t, 17)
-    negative = np.flatnonzero((np.asarray(g_fn(times, spec.pts)) < 0.0).any(axis=1))
-    if len(negative):
-        raise ConfigError(f"field 'g': negative yield radius at t={times[negative[0]]}")
-    initial_state(spec)
+    eng = _Engine(spec)
+    eng.g_at(np.linspace(0.0, total_t, 17))
+    initial_state(spec, eng)
     return RunConfig(spec=spec, scheme=scheme, dt_list=dt_list, ref_n=ref_n, seed=seed,
                      vtk_stride=vtk_stride, verify_params=counts)
 
@@ -192,12 +191,8 @@ def parse_config(path) -> RunConfig:
 # -- study drivers --------------------------------------------------------------
 
 
-def _slack_min(traj: Trajectory, n: int) -> float:
-    spec = traj.spec
-    t = n * spec.dt
-    p_n = np.asarray(spec.p(t, spec.pts))
-    g_n = np.asarray(spec.g(t, spec.pts))
-    return float(tc.yield_slack_arr(traj.sigma[n], p_n, g_n).min())
+def _slack_min(eng: _Engine, sigma: np.ndarray, t: float) -> float:
+    return float(tc.yield_slack_arr(sigma, eng.p_at(t), eng.g_at(t)).min())
 
 
 def _finite_row(row: dict, where: str) -> dict:
@@ -221,6 +216,7 @@ def cmd_run(cfg: RunConfig, out_dir) -> Trajectory:
     os.makedirs(out_dir, exist_ok=True)
     traj = run(cfg.spec, cfg.scheme)
     _warn_unconverged(traj)
+    eng = _Engine(cfg.spec)
     rows = []
     for n in range(traj.spec.N + 1):
         sigma = traj.sigma[n]
@@ -230,18 +226,14 @@ def cmd_run(cfg: RunConfig, out_dir) -> Trajectory:
         else:
             v_l2 = 0.0
             s_l2 = float(np.sqrt(tc.frob_inner_arr(sigma, sigma).sum()))
-        row = {"n": n, "t": n * traj.spec.dt, "v_l2": v_l2, "sigma_l2": s_l2,
-               "yield_slack_min": _slack_min(traj, n),
+        t = n * traj.spec.dt
+        row = {"n": n, "t": t, "v_l2": v_l2, "sigma_l2": s_l2,
+               "yield_slack_min": _slack_min(eng, sigma, t),
                # the frozen cg_iters column: the factored solve makes no iterations
                "cg_iters": 0}
         rows.append(_finite_row(row, f"step {n}"))
         if cfg.vtk_stride > 0 and traj.mesh is not None and n % cfg.vtk_stride == 0:
-            write_vtk(
-                os.path.join(out_dir, f"snapshot_{n:06d}.vtk"),
-                traj.mesh,
-                point_vectors={"velocity": traj.v[n]},
-                cell_tensors={"stress": sigma},
-            )
+            write_vtk(os.path.join(out_dir, f"snapshot_{n:06d}.vtk"), traj.mesh, traj.v[n], sigma)
     _write_csv(os.path.join(out_dir, "norms.csv"), rows)
     return traj
 

@@ -7,34 +7,36 @@ from .fem2d import FemSpace, build_rect_mesh
 from .stepper import ProblemSpec
 
 
+def _radial_0d(n_steps: int, total_time: float, g) -> ProblemSpec:
+    """Single-point sweeping process under the constant deviatoric drive
+    h = diag(1, -1), with p = 0 and the yield radius g."""
+    return ProblemSpec(
+        nu=1.0, T=total_time, N=n_steps, space=None,
+        f=vector_fn("constant", Fields({"value": [0, 0]}, "params")),
+        h=tensor_fn("radial_deviatoric", Fields({"amplitude": 1.0}, "params")),
+        p=tensor_fn("constant", Fields({}, "params")),
+        g=g,
+    )
+
+
 def radial_0d_spec(n_steps: int = 2000, total_time: float = 2.0) -> ProblemSpec:
-    """Single-point sweeping process under constant deviatoric drive, g = 1.
+    """The radial drive with g = 1.
 
     Closed form: sigma(t) = min(t, 1/sqrt(2)) * diag(1, -1); the deviator
     grows linearly until its norm reaches the yield radius and then sticks.
     """
-    return ProblemSpec(
-        nu=1.0, T=total_time, N=n_steps, space=None,
-        f=vector_fn("constant", Fields({"value": [0, 0]}, "params")),
-        h=tensor_fn("radial_deviatoric", Fields({"amplitude": 1.0}, "params")),
-        p=tensor_fn("constant", Fields({}, "params")),
-        g=scalar_fn("constant", Fields({"value": 1.0}, "params")),
-    )
+    return _radial_0d(n_steps, total_time,
+                      scalar_fn("constant", Fields({"value": 1.0}, "params")))
 
 
 def growing_yield_0d_spec(n_steps: int = 2000, total_time: float = 4.0) -> ProblemSpec:
-    """Same drive with expanding yield radius g(t) = 1 + t.
+    """The radial drive with expanding yield radius g(t) = 1 + t.
 
     Contact happens at t* = 1/(sqrt(2)-1); afterwards the stress rides the
     boundary: sigma(t) = (1+t) diag(1,-1)/sqrt(2).
     """
-    return ProblemSpec(
-        nu=1.0, T=total_time, N=n_steps, space=None,
-        f=vector_fn("constant", Fields({"value": [0, 0]}, "params")),
-        h=tensor_fn("radial_deviatoric", Fields({"amplitude": 1.0}, "params")),
-        p=tensor_fn("constant", Fields({}, "params")),
-        g=scalar_fn("linear_in_t", Fields({"base": 1.0, "slope": 1.0}, "params")),
-    )
+    return _radial_0d(n_steps, total_time,
+                      scalar_fn("linear_in_t", Fields({"base": 1.0, "slope": 1.0}, "params")))
 
 
 def unit_square_spec(n_steps: int = 200, mesh_n: int = 16,

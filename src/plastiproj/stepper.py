@@ -300,10 +300,13 @@ class _Engine:
     def p_at(self, t: float) -> np.ndarray:
         return np.asarray(self.spec.p(t, self.pts), dtype=float)
 
-    def g_at(self, t: float) -> np.ndarray:
+    def g_at(self, t: float | np.ndarray) -> np.ndarray:
+        """g at one time, (k,), or at a 1-D array of times, (m, k); a
+        ConfigError names the first time where it is negative."""
         g = np.asarray(self.spec.g(t, self.pts), dtype=float)
-        if (g < 0.0).any():
-            raise _negative_g(t)
+        neg = g < 0.0
+        if neg.any():
+            raise _negative_g(t if np.ndim(t) == 0 else t[neg.any(axis=-1).argmax()])
         return g
 
     # -- momentum solve -----------------------------------------------------

@@ -41,8 +41,9 @@ def proj_prop_suite(d: int, n_samples: int, seed: int) -> list[SuiteResult]:
 
     (i) orthogonal split of the projected norm, (ii) Lipschitz in the radius,
     (iii) the obtuse-angle (projection) inequality, (iv) nonexpansiveness.
-    The bulk runs vectorized; a small sample is cross-checked against the
-    scalar SymMat API so both code paths are exercised.
+    The bulk runs on stacked matrices.  For d = 2 every sample is
+    cross-checked against the packed kernel that the fem steps run, and a
+    small sample against the scalar SymMat API for every d.
     """
     rng = np.random.default_rng(seed)
     a = rand_sym_stack(rng, n_samples, d)
@@ -72,8 +73,9 @@ def proj_prop_suite(d: int, n_samples: int, seed: int) -> list[SuiteResult]:
     # (iv): |P_r(a) - P_r(b)| <= |a - b|
     v4 = (frob_norm_stack(pa - proj_dev_ball_stack(b, r)) - frob_norm_stack(a - b)).max()
 
-    # scalar-path cross-check on a handful of cases
-    xc = 0.0
+    # the packed (s00, s01, s11) kernel on every sample, then the scalar path on a few
+    up = (slice(None), [0, 0, 1], [0, 1, 1])
+    xc = float(np.abs(tc.proj_dev_ball_arr(a[up], r) - pa[up]).max()) if d == 2 else 0.0
     for k in range(min(50, n_samples)):
         am = SymMat.from_matrix(a[k])
         pm = tc.proj_dev_ball(am, float(r[k]))

@@ -250,25 +250,35 @@ def test_dual_norm_matches_dense_solve():
     space = FemSpace(mesh)
     rng = np.random.default_rng(12)
     r = np.where(mesh.dirichlet_mask(), 0.0, rng.standard_normal(mesh.n_dofs))
-    dense = space.h1_gram_c.to_dense()
+    dense = apply_dirichlet(space.h1_gram, space.mask).to_dense()
     want = math.sqrt(float(r @ np.linalg.solve(dense, r)))
     assert space.dual_norm(r) == pytest.approx(want, rel=1e-8)
 
 
 def test_write_vtk_layout(tmp_path):
-    mesh = build_rect_mesh(2, 2, 1.0, 1.0, "left")
+    mesh = build_rect_mesh(1, 1, 1.0, 1.0, "left")
     path = tmp_path / "snap.vtk"
-    write_vtk(
-        path,
-        mesh,
-        point_vectors={"velocity": np.zeros(mesh.n_dofs)},
-        cell_tensors={"stress": np.zeros((mesh.n_elements, 3))},
+    velocity = np.array([0.1, -1.0, 0.0, 2.5, -0.5, 0.0, 1.0, -3.0])
+    stress = np.array([[1.0, 0.25, -1.0], [0.1, -2.0, 3.0]])
+    write_vtk(path, mesh, velocity, stress)
+    # nodes row by row, the cell split along its NE diagonal, %.17g values,
+    # and each packed stress as a 3x3 tensor
+    assert path.read_text() == (
+        "# vtk DataFile Version 3.0\n"
+        "plastiproj snapshot\n"
+        "ASCII\n"
+        "DATASET UNSTRUCTURED_GRID\n"
+        "POINTS 4 double\n"
+        "0 0 0\n1 0 0\n0 1 0\n1 1 0\n"
+        "CELLS 2 8\n"
+        "3 0 1 3\n3 0 3 2\n"
+        "CELL_TYPES 2\n"
+        "5\n5\n"
+        "POINT_DATA 4\n"
+        "VECTORS velocity double\n"
+        "0.10000000000000001 -1 0\n0 2.5 0\n-0.5 0 0\n1 -3 0\n"
+        "CELL_DATA 2\n"
+        "TENSORS stress double\n"
+        "1 0.25 0\n0.25 -1 0\n0 0 0\n"
+        "0.10000000000000001 -2 0\n-2 3 0\n0 0 0\n"
     )
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# vtk DataFile Version 3.0"
-    assert f"POINTS {mesh.n_nodes} double" in lines
-    assert f"CELLS {mesh.n_elements} {4 * mesh.n_elements}" in lines
-    assert f"POINT_DATA {mesh.n_nodes}" in lines
-    assert f"CELL_DATA {mesh.n_elements}" in lines
-    assert "VECTORS velocity double" in lines
-    assert "TENSORS stress double" in lines

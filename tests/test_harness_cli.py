@@ -317,6 +317,23 @@ def test_stability_rest_state_rows_zero(tmp_path):
         assert rep["energy_ok"]
 
 
+def test_stability_on_a_mesh_without_free_dofs_exits_zero(tmp_path, capsys):
+    # gamma1 left and right clamps all four nodes of a 1x1 mesh: over the
+    # zero space the Korn constant is 0 and every norm of the run is 0
+    path = write_config(
+        tmp_path, "clamped.json", mode="fem",
+        mesh={"nx": 1, "ny": 1, "gamma1": ["left", "right"]},
+        f={"name": "constant", "params": {"value": [0.0, -1.0]}},
+        h={"name": "constant", "params": {}},
+        study={"dt_list": [0.5]},
+    )
+    assert cli.main(["stability", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = read_csv(tmp_path / "o" / "stability.csv")
+    assert header[-1] == "energy_ok"
+    assert rows == [["0.5", "2"] + ["0"] * 10 + ["1"]]
+
+
 def test_stability_study_builds_one_space(tmp_path, monkeypatch):
     spaces = []
     eigensolves = []

@@ -84,6 +84,24 @@ def test_run_rejects_negative_yield_radius():
         run(spec)
 
 
+def test_g_at_names_the_first_negative_time():
+    # g(t) = 0.3 - t on every element: negative from the sample t = 0.3125 on
+    spec = small_fem_spec(g=scalar_fn(
+        "linear_in_t", Fields({"base": 0.3, "slope": -1.0}, "params")))
+    eng = stepper._Engine(spec)
+    times = np.linspace(0.0, 1.0, 17)
+    with pytest.raises(ConfigError) as err:
+        eng.g_at(times)
+    assert str(err.value) == "field 'g': negative yield radius at t=0.3125"
+    # the samples before it, one row per time
+    _same_bits(eng.g_at(times[:5]), np.asarray(spec.g(times[:5], eng.pts), dtype=float))
+    # one time: the values at that time, or the error naming it
+    _same_bits(eng.g_at(0.25), np.asarray(spec.g(0.25, eng.pts), dtype=float))
+    with pytest.raises(ConfigError) as err:
+        eng.g_at(0.5)
+    assert str(err.value) == "field 'g': negative yield radius at t=0.5"
+
+
 # -- time averaging ---------------------------------------------------------------
 
 
