@@ -118,7 +118,11 @@ def _scalar_value(params: Fields, key, default):
 def _tensor_value(params: Fields, key="value"):
     v = params.array(key, [0.0, 0.0, 0.0],
                      "3 finite packed entries or a finite 2x2 matrix", (3,), (2, 2))
-    return np.array([v[0, 0], v[0, 1], v[1, 1]]) if v.shape == (2, 2) else v
+    if v.shape == (3,):
+        return v
+    if v[0, 1] != v[1, 0]:
+        raise params.error(key, f"expected a symmetric 2x2 matrix, got {params.obj[key]!r}")
+    return np.array([v[0, 0], v[0, 1], v[1, 1]])
 
 
 def _vector_value(params: Fields, key="value"):

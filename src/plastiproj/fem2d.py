@@ -134,24 +134,24 @@ def _scatter(mesh: Mesh2D, local: np.ndarray) -> SparseSym:
     return SparseSym(sp.coo_array((local.ravel(), (rows, cols)), shape=(n, n)))
 
 
+def _scatter_componentwise(mesh: Mesh2D, scal: np.ndarray) -> SparseSym:
+    """The per-element scalar (n_el, 3, 3) blocks on each velocity component."""
+    local = np.zeros((mesh.n_elements, 6, 6))
+    local[:, 0::2, 0::2] = scal
+    local[:, 1::2, 1::2] = scal
+    return _scatter(mesh, local)
+
+
 def assemble_mass(mesh: Mesh2D) -> SparseSym:
     """Consistent P1 mass matrix, block-diagonal over the two components."""
-    local = np.zeros((mesh.n_elements, 6, 6))
-    for i in range(3):
-        for j in range(3):
-            local[:, 2 * i, 2 * j] = _LOCAL_MASS[i, j] * mesh.areas
-            local[:, 2 * i + 1, 2 * j + 1] = _LOCAL_MASS[i, j] * mesh.areas
-    return _scatter(mesh, local)
+    return _scatter_componentwise(mesh, _LOCAL_MASS * mesh.areas[:, None, None])
 
 
 def assemble_grad_stiffness(mesh: Mesh2D) -> SparseSym:
     """Full-gradient (H1 seminorm) matrix, componentwise scalar Laplacian."""
     g = _basis_grads(mesh)
     scal = np.einsum("mix,mjx->mij", g, g) * mesh.areas[:, None, None]
-    local = np.zeros((mesh.n_elements, 6, 6))
-    local[:, 0::2, 0::2] = scal
-    local[:, 1::2, 1::2] = scal
-    return _scatter(mesh, local)
+    return _scatter_componentwise(mesh, scal)
 
 
 def strain_blocks(mesh: Mesh2D) -> np.ndarray:

@@ -39,8 +39,7 @@ def growing_yield_0d_spec(n_steps: int = 2000, total_time: float = 4.0) -> Probl
                       scalar_fn("linear_in_t", Fields({"base": 1.0, "slope": 1.0}, "params")))
 
 
-def unit_square_spec(n_steps: int = 200, mesh_n: int = 16,
-                     force: float = 8.0) -> ProblemSpec:
+def unit_square_spec(n_steps: int = 200, mesh_n: int = 16) -> ProblemSpec:
     """Unit square clamped on the left, constant downward body force.
 
     nu = 1, g = 1, p = 0, T = 1.  The force is strong enough that the yield
@@ -49,14 +48,14 @@ def unit_square_spec(n_steps: int = 200, mesh_n: int = 16,
     return ProblemSpec(
         nu=1.0, T=1.0, N=n_steps,
         space=FemSpace(build_rect_mesh(mesh_n, mesh_n, 1.0, 1.0, ("left",))),
-        f=vector_fn("constant", Fields({"value": [0.0, -force]}, "params")),
+        f=vector_fn("constant", Fields({"value": [0.0, -8.0]}, "params")),
         h=tensor_fn("constant", Fields({}, "params")),
         p=tensor_fn("constant", Fields({}, "params")),
         g=scalar_fn("constant", Fields({"value": 1.0}, "params")),
     )
 
 
-def explicit_blowup_spec(n_steps: int = 10) -> ProblemSpec:
+def explicit_blowup_spec() -> ProblemSpec:
     """Stiff demonstration case where the explicit stress treatment diverges.
 
     Tiny viscosity, coarse time step, huge yield radius so the projection
@@ -66,7 +65,7 @@ def explicit_blowup_spec(n_steps: int = 10) -> ProblemSpec:
     bump = vector_fn("gaussian_bump_in_x", Fields(
         {"value": [1.0, 0.0], "center": [0.5, 0.5], "width": 0.15}, "params"))
     return ProblemSpec(
-        nu=1e-4, T=1.0, N=n_steps,
+        nu=1e-4, T=1.0, N=10,
         space=FemSpace(build_rect_mesh(16, 16, 1.0, 1.0, ("left", "right", "top", "bottom"))),
         f=vector_fn("constant", Fields({"value": [0.0, 0.0]}, "params")),
         h=tensor_fn("constant", Fields({}, "params")),

@@ -147,7 +147,6 @@ class Trajectory:
     """
 
     spec: ProblemSpec
-    scheme: str
     sigma: np.ndarray
     sigma_star: np.ndarray
     v: np.ndarray | None
@@ -155,13 +154,12 @@ class Trajectory:
     fp_converged: np.ndarray
 
     @classmethod
-    def from_states(cls, spec: ProblemSpec, scheme: str,
-                    states: list[SchemeState]) -> "Trajectory":
+    def from_states(cls, spec: ProblemSpec, states: list[SchemeState]) -> "Trajectory":
         """The trajectory of the states n = 0 .. spec.N, copied into columns."""
         if len(states) != spec.N + 1:
             raise ValueError(f"expected {spec.N + 1} states, got {len(states)}")
         v = None if states[0].v is None else np.stack([s.v for s in states])
-        return cls(spec, scheme, np.stack([s.sigma for s in states]),
+        return cls(spec, np.stack([s.sigma for s in states]),
                    np.stack([s.sigma_star for s in states]), v,
                    np.array([s.fp_iters for s in states], dtype=int),
                    np.array([s.fp_converged for s in states], dtype=bool))
@@ -173,10 +171,6 @@ class Trajectory:
     @property
     def mesh(self) -> Mesh2D | None:
         return None if self.space is None else self.space.mesh
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.spec.N + 1) * self.spec.dt
 
     def state(self, k: int) -> SchemeState:
         """Step k (from the end if negative), viewing the columns."""
@@ -322,8 +316,8 @@ class _Engine:
         return v
 
 
-def initial_state(spec: ProblemSpec, engine: _Engine | None = None) -> SchemeState:
-    eng = engine or _Engine(spec)
+def initial_state(spec: ProblemSpec) -> SchemeState:
+    eng = _Engine(spec)
     if spec.mode == "fem":
         v0 = np.zeros(eng.mesh.n_dofs)
         if spec.v0 is not None:
@@ -337,10 +331,13 @@ def initial_state(spec: ProblemSpec, engine: _Engine | None = None) -> SchemeSta
         s0 = np.zeros((len(eng.pts), 3))
     g0 = eng.g_at(0.0)
     slack = tc.yield_slack_arr(s0, eng.p_at(0.0), g0)
+    if not np.isfinite(slack).all():
+        raise _norm_overflow(0)
     tol = FEASIBILITY_TOL * np.maximum(1.0, g0)
     if (slack < -tol).any():
-        raise ConfigError(f"field 'sigma0': initial stress violates the yield "
-                          f"constraint by {-slack.min():.3e}")
+        # without sigma0 the stress is zero, so only |dev p(0)| > g(0) fails
+        what = "'sigma0': initial stress" if spec.sigma0 is not None else "'p': zero initial stress"
+        raise ConfigError(f"field {what} violates the yield constraint by {-slack.min():.3e}")
     # the trial stress at step 0 is defined to equal the initial stress
     return SchemeState(n=0, t=0.0, v=v0, sigma_star=s0.copy(), sigma=s0.copy())
 
@@ -484,7 +481,7 @@ def run(spec: ProblemSpec, scheme: str = "projection") -> Trajectory:
         # every scheme is the projection step; the implicit one counts one iteration
         fp_iters = np.full(rows, int(scheme == "implicit"))
         fp_iters[0] = 0
-        return Trajectory(spec, scheme, *_run_0d(spec), None, fp_iters, fp_converged)
+        return Trajectory(spec, *_run_0d(spec), None, fp_iters, fp_converged)
     eng = _Engine(spec)
     # looked up per run, so a wrapper installed on a step function sees every step
     step = {"projection": step_projection, "implicit": step_implicit,
@@ -492,9 +489,9 @@ def run(spec: ProblemSpec, scheme: str = "projection") -> Trajectory:
     # step 1 assembles the space's matrices on first use and factors the step
     # matrix; the columns are allocated after it, so that the run's peak is
     # not the columns plus those temporaries
-    first = initial_state(spec, eng)
+    first = initial_state(spec)
     state = step(first, eng, 1)
-    traj = Trajectory(spec, scheme, np.empty((rows,) + state.sigma.shape),
+    traj = Trajectory(spec, np.empty((rows,) + state.sigma.shape),
                       np.empty((rows,) + state.sigma.shape), np.empty((rows, len(state.v))),
                       np.empty(rows, dtype=int), fp_converged)
     for n in range(rows):
@@ -622,7 +619,6 @@ def convergence_errors(ref: Trajectory, coarse: Trajectory) -> dict[str, float]:
 class EnergyReport:
     lhs: np.ndarray      # indexed by m = 1..N
     rhs: float
-    korn: float
     c2: float
     ok: bool
 
@@ -675,4 +671,4 @@ def energy_report(traj: Trajectory) -> EnergyReport:
         space.l2_norm(traj.v[0]) ** 2 + inner(traj.sigma[0], traj.sigma[0]) + inner(p0, p0)
         + dt * rhs_sum
     )
-    return EnergyReport(lhs=lhs, rhs=rhs, korn=ck, c2=c2, ok=bool(np.all(lhs <= rhs)))
+    return EnergyReport(lhs=lhs, rhs=rhs, c2=c2, ok=bool(np.all(lhs <= rhs)))

@@ -139,12 +139,12 @@ def oracle_suite(n_cases: int, n_samples: int, seed: int) -> list[SuiteResult]:
     return [SuiteResult("projection_argmin_oracle", worst, 1e-12)]
 
 
-def vi_suite(n_setups: int, n_witnesses: int, seed: int, d: int = 2) -> list[SuiteResult]:
-    """Projected stress update versus its variational inequality."""
+def vi_suite(n_setups: int, n_witnesses: int, seed: int) -> list[SuiteResult]:
+    """Projected stress update versus its variational inequality, on 2x2 set-ups."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for k in range(n_setups):
-        sig_a, strain, h, p = (rand_sym_stack(rng, 1, d, scale=1.0)[0] for _ in range(4))
+        sig_a, strain, h, p = (rand_sym_stack(rng, 1, 2, scale=1.0)[0] for _ in range(4))
         g = 2.0 * rng.random()
         dt = 10.0 ** rng.uniform(-3, 1)
         violation = yc.inclusion_equivalence_check(

@@ -73,3 +73,12 @@ def test_builder_rejects_an_unknown_parameter(builder, name):
     # a misspelled key would otherwise leave its parameter at the default
     with pytest.raises(ConfigError, match=r"^field 'params\.valu': unknown key$"):
         builder(name, Fields({"valu": 0.5}, "params"))
+
+
+def test_tensor_matrix_value_must_be_symmetric():
+    # the lower entry 3 would otherwise be dropped without a word
+    with pytest.raises(ConfigError, match=r"^field 'params\.value': expected a symmetric "
+                                          r"2x2 matrix, got \[\[1, 2\], \[3, 4\]\]$"):
+        tensor_fn("constant", Fields({"value": [[1, 2], [3, 4]]}, "params"))
+    fn = tensor_fn("constant", Fields({"value": [[1, 2], [2, 4]]}, "params"))
+    np.testing.assert_array_equal(fn(0.0, np.zeros((1, 2))), [[1.0, 2.0, 4.0]])

@@ -145,6 +145,9 @@ def test_missing_nu_names_the_field(tmp_path):
     # dt = T / N would be 0
     ("N", {"T": 5e-324, "N": 2}),
     ("study.ref_N", {"T": 5e-324, "N": 1, "study": {"ref_N": 2}}),
+    # a 2x2 matrix must be symmetric: its lower entry would be dropped
+    ("h.params.value", {"h": {"name": "constant", "params": {"value": [[1, 2], [3, 4]]}}}),
+    ("p.params.slope", {"p": {"name": "linear_in_t", "params": {"slope": [[0, 1], [0, 0]]}}}),
 ])
 def test_bad_number_exits_two_naming_the_field(tmp_path, capsys, field, overrides):
     path = write_config(tmp_path, "bad.json", **{"mode": "fem", **overrides})
@@ -191,6 +194,16 @@ def test_infeasible_sigma0_rejected(tmp_path):
     )
     with pytest.raises(ConfigError, match="sigma0"):
         cli.parse_config(path)
+
+
+def test_infeasible_p_without_sigma0_names_p(tmp_path, capsys):
+    # the zero initial stress fails only because |dev p(0)| = 2 sqrt(2) > g(0) = 1
+    path = write_config(tmp_path, "p.json",
+                        p={"name": "constant", "params": {"value": [2.0, 0.0, -2.0]}})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: field 'p': zero initial stress violates the yield "
+        "constraint by 1.828e+00"]
 
 
 @pytest.mark.parametrize("g, a, code", [
@@ -508,7 +521,7 @@ def test_convergence_errors_sees_the_last_reference_node(tmp_path):
     def traj(sigmas):
         n = len(sigmas) - 1
         states = [SchemeState(k, k / n, None, s[None], s[None]) for k, s in enumerate(sigmas)]
-        return Trajectory.from_states(spec.with_steps(n), "projection", states)
+        return Trajectory.from_states(spec.with_steps(n), states)
 
     # the only large error sits at t = T, where both series have a node
     ref = traj([zero, np.array([1.0, 0.0, 0.0]), zero, zero, np.array([0.0, 3.0, 0.0])])
@@ -620,7 +633,12 @@ def run_cli(*args):
       "h": {"name": "radial_deviatoric", "params": {"amplitude": 1e155}},
       "g": {"name": "constant", "params": {"value": 1e170}}},
      "deviator norm of the trial stress at step 1 overflows"),
-], ids=["fem_overflow", "0d_overflow", "0d_norm_overflow", "fem_norm_overflow"])
+    # feasible, |dev p(0)| = 7.1e307 < g, but the squared norm overflows
+    ({"N": 3, "p": {"name": "constant", "params": {"value": [5e307, 0.0, -5e307]}},
+      "g": {"name": "constant", "params": {"value": 1e308}}},
+     "deviator norm of the trial stress at step 0 overflows"),
+], ids=["fem_overflow", "0d_overflow", "0d_norm_overflow", "fem_norm_overflow",
+        "initial_norm_overflow"])
 def test_overflow_prints_one_stderr_line(tmp_path, overrides, message):
     path = write_config(tmp_path, "huge.json", **overrides)
     out = tmp_path / "o"

@@ -272,7 +272,7 @@ def test_step_functions_are_fem_only():
     spec = radial_0d_spec(n_steps=4)
     eng = stepper._Engine(spec)
     with pytest.raises(ValueError, match="fem-mode"):
-        step_projection(initial_state(spec, eng), eng, 1)
+        step_projection(initial_state(spec), eng, 1)
 
 
 STEPS = {"projection": step_projection, "implicit": step_implicit,
@@ -284,7 +284,7 @@ def _hand_states(spec, scheme):
     and in 0d one array-kernel projection per step on data sampled by scalar
     calls."""
     eng = stepper._Engine(spec)
-    states = [initial_state(spec, eng)]
+    states = [initial_state(spec)]
     for n in range(1, spec.N + 1):
         if spec.space is not None:
             states.append(STEPS[scheme](states[-1], eng, n))
@@ -300,7 +300,7 @@ def _hand_states(spec, scheme):
 
 
 def _run_0d_reference(spec, scheme):
-    return Trajectory.from_states(spec, scheme, _hand_states(spec, scheme))
+    return Trajectory.from_states(spec, _hand_states(spec, scheme))
 
 
 def _signed_zero_spec(n_steps):
@@ -368,7 +368,7 @@ def test_run_columns_are_bit_identical_to_a_hand_loop(case):
         assert traj.fp_iters.max() > 1
     assert traj.fp_iters.tolist() == [s.fp_iters for s in states]
     assert traj.fp_converged.tolist() == [s.fp_converged for s in states]
-    _same_bits(traj.times, np.array([s.t for s in states]))
+    _same_bits(np.arange(spec.N + 1) * spec.dt, np.array([s.t for s in states]))
     # the series are the columns themselves, not stacked copies
     assert traj.sigma_series() is traj.sigma
     assert traj.sigma_star_series() is traj.sigma_star
@@ -402,7 +402,7 @@ def test_state_views_match_the_state_list(case):
     with pytest.raises(IndexError):
         traj.state(spec.N + 1)
     with pytest.raises(ValueError, match="expected"):
-        Trajectory.from_states(spec, scheme, states[:-1])
+        Trajectory.from_states(spec, states[:-1])
 
 
 def test_0d_run_holds_only_its_columns():
@@ -438,7 +438,7 @@ def test_run_n1_is_one_projection_step():
     traj = run(spec, "projection")
     assert len(traj.states) == 2
     eng = stepper._Engine(spec)
-    manual = step_projection(initial_state(spec, eng), eng, 1)
+    manual = step_projection(initial_state(spec), eng, 1)
     np.testing.assert_allclose(traj.states[1].v, manual.v, atol=1e-13)
     np.testing.assert_allclose(traj.states[1].sigma, manual.sigma, atol=1e-13)
 
@@ -459,9 +459,12 @@ def test_projection_run_factors_one_matrix(monkeypatch):
     monkeypatch.setattr(stepper, "_Engine", RecordingEngine)
     monkeypatch.setattr(stepper, "factorized_solve", counting)
     run(small_fem_spec(N=6), "projection")
-    assert len(engines) == 1
+    # the run's engine steps every step; initial_state's own assembles no step matrix
+    assert len(engines) == 2
+    run_eng, init_eng = engines
     assert len(factored) == 1
-    assert "a_visc" not in vars(engines[0])
+    assert "a_visc" not in vars(run_eng)
+    assert not {"a_proj", "a_visc"} & set(vars(init_eng))
 
 
 def test_non_finite_momentum_solve_names_the_step():
@@ -529,13 +532,13 @@ def test_step_variational_inequality_witnesses():
 def test_radial_0d_closed_form_at_grid_nodes():
     traj = run(radial_0d_spec(n_steps=400, total_time=2.0))
     amps = traj.sigma_series()[:, 0, 0]
-    want = np.minimum(traj.times, 1.0 / SQ2)
+    want = np.minimum(np.arange(traj.spec.N + 1) * traj.spec.dt, 1.0 / SQ2)
     np.testing.assert_allclose(amps, want, atol=1e-12)
 
 
 def test_growing_yield_0d_closed_form_at_grid_nodes():
     traj = run(growing_yield_0d_spec(n_steps=800, total_time=4.0))
-    t = traj.times
+    t = np.arange(traj.spec.N + 1) * traj.spec.dt
     t_star = 1.0 / (SQ2 - 1.0)
     want = np.where(t <= t_star, t, (1.0 + t) / SQ2)
     amps = traj.sigma_series()[:, 0, 0]
@@ -553,7 +556,7 @@ def test_discrete_norms_constant_trajectory():
     sig = np.tile([0.3, 0.1, -0.3], (mesh.n_elements, 1))
     states = [SchemeState(n=k, t=k * spec.dt, v=v.copy(), sigma_star=sig.copy(),
                           sigma=sig.copy()) for k in range(4)]
-    rep = discrete_norms(Trajectory.from_states(spec, "projection", states))
+    rep = discrete_norms(Trajectory.from_states(spec, states))
     assert rep.dual_norm_dv == pytest.approx(0.0, abs=1e-12)
     assert rep.gap_v == pytest.approx(0.0, abs=1e-14)
     assert rep.gap_sigma == pytest.approx(0.0, abs=1e-14)
@@ -574,7 +577,7 @@ def test_discrete_norms_single_step_gap():
         SchemeState(n=0, t=0.0, v=np.zeros(mesh.n_dofs), sigma_star=z.copy(), sigma=z.copy()),
         SchemeState(n=1, t=spec.dt, v=v1, sigma_star=z.copy(), sigma=z.copy()),
     ]
-    rep = discrete_norms(Trajectory.from_states(spec, "projection", states))
+    rep = discrete_norms(Trajectory.from_states(spec, states))
     assert rep.gap_v == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert rep.linf_H_vbar == pytest.approx(1.0, rel=1e-12)
 
@@ -588,7 +591,7 @@ def test_discrete_norms_scaling():
         s.sigma = 2.0 * s.sigma
         s.sigma_star = 2.0 * s.sigma_star
     rep1 = discrete_norms(traj)
-    rep2 = discrete_norms(Trajectory.from_states(spec, "projection", doubled))
+    rep2 = discrete_norms(Trajectory.from_states(spec, doubled))
     for key, val in rep1.as_dict().items():
         factor = 4.0 if key.startswith("gap") else 2.0
         assert rep2.as_dict()[key] == pytest.approx(factor * val, rel=1e-10)
