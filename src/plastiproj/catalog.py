@@ -1,21 +1,21 @@
 """Named data-function catalog so runs are reproducible from a config file.
 
 Every time/space-dependent datum (force f, strain source h, stress shift p,
-yield radius g, initial values) is referenced by catalog name plus
-parameters; no code is ever embedded in configs.
+yield radius g, initial values v0 and sigma0, taken at t = 0) is a function
+of (t, pts) that ``data_fn(role, name, params)`` builds from a catalog name
+plus parameters; no code is ever embedded in configs.
 
 Roles and shapes (k = number of evaluation points):
-  vector  (f, v0):      (t, pts) -> (k, 2)
-  tensor  (h, p, s0):   (t, pts) -> (k, 3) packed (s00, s01, s11)
-  scalar  (g):          (t, pts) -> (k,)
+  vector  (f, v0):          (t, pts) -> (k, 2)
+  tensor  (h, p, sigma0):   (t, pts) -> (k, 3) packed (s00, s01, s11)
+  scalar  (g):              (t, pts) -> (k,)
 
 ``t`` is a scalar or a 1-D array of m times; an array gives one row per
 time, (m, k, ...), each bit-identical to the scalar call at that time.
-Every call returns a fresh, writable array.  A builder reads its ``params``
+Every call returns a fresh, writable array.  ``data_fn`` reads ``params``
 through ``Fields`` (from Python, ``Fields(params, "params")``), the reader of
 every config object: a number is a JSON int or float, never a bool or a
-string, and a key that no read took is an error naming its field.
-"""
+string, and a key that no read took is an error naming its field."""
 
 from __future__ import annotations
 
@@ -115,7 +115,17 @@ def _scalar_value(params: Fields, key, default):
     return params.array(key, default, "a finite number", ())
 
 
-def _tensor_value(params: Fields, key="value"):
+# the trailing shape of each role's values: one value per point
+SHAPES = {"vector": (2,), "tensor": (3,), "scalar": ()}
+
+
+def _value(role: str, params: Fields, key: str):
+    """The value ``key`` of one point.  Left out, it is zero, except a scalar
+    ``value`` or ``base``, which is 1."""
+    if role == "scalar":
+        return _scalar_value(params, key, 0.0 if key == "slope" else 1.0)
+    if role == "vector":
+        return params.array(key, [0.0, 0.0], "2 finite entries", (2,))
     v = params.array(key, [0.0, 0.0, 0.0],
                      "3 finite packed entries or a finite 2x2 matrix", (3,), (2, 2))
     if v.shape == (3,):
@@ -123,10 +133,6 @@ def _tensor_value(params: Fields, key="value"):
     if v[0, 1] != v[1, 0]:
         raise params.error(key, f"expected a symmetric 2x2 matrix, got {params.obj[key]!r}")
     return np.array([v[0, 0], v[0, 1], v[1, 1]])
-
-
-def _vector_value(params: Fields, key="value"):
-    return params.array(key, [0.0, 0.0], "2 finite entries", (2,))
 
 
 def _bump(params: Fields):
@@ -160,62 +166,30 @@ def _linear(t, k, base, slope):
     return _fill(val.shape[:lead] + (k,) + val.shape[lead:], np.expand_dims(val, lead))
 
 
-def _closed(params: Fields, fn):
-    """``fn``, after ``params`` is checked for keys that no read took."""
-    params.close()
-    return fn
-
-
-def vector_fn(name: str, params: Fields):
+def data_fn(role: str, name: str, params: Fields):
+    """The catalog function ``name`` of ``role``: "vector", "tensor" or "scalar"."""
+    tail = SHAPES[role]
     if name == "constant":
-        val = _vector_value(params)
-        return _closed(params, lambda t, pts: _fill(np.shape(t) + (len(pts), 2), val))
-    if name == "linear_in_t":
-        base = _vector_value(params, "base")
-        slope = _vector_value(params, "slope")
-        return _closed(params, lambda t, pts: _linear(t, len(pts), base, slope))
-    if name == "gaussian_bump_in_x":
-        val = _vector_value(params)
-        bump = _bump(params)
-        return _closed(params, lambda t, pts: _fill(np.shape(t) + (len(pts), 2),
-                                                    bump(pts)[:, None] * val))
-    raise ConfigError(f"unknown vector function {name!r}")
-
-
-def tensor_fn(name: str, params: Fields):
-    if name == "constant":
-        val = _tensor_value(params)
-        return _closed(params, lambda t, pts: _fill(np.shape(t) + (len(pts), 3), val))
-    if name == "linear_in_t":
-        base = _tensor_value(params, "base")
-        slope = _tensor_value(params, "slope")
-        return _closed(params, lambda t, pts: _linear(t, len(pts), base, slope))
-    if name == "radial_deviatoric":
+        val = _value(role, params, "value")
+        fn = lambda t, pts: _fill(np.shape(t) + (len(pts), *tail), val)
+    elif name == "linear_in_t":
+        base, slope = _value(role, params, "base"), _value(role, params, "slope")
+        fn = lambda t, pts: _linear(t, len(pts), base, slope)
+    elif name == "radial_deviatoric" and role == "tensor":
         # amp * diag(1, -1): a pure deviator driving radial loading
-        amp = _scalar_value(params, "amplitude", 1.0)
-        val = amp * np.array([1.0, 0.0, -1.0])
-        return _closed(params, lambda t, pts: _fill(np.shape(t) + (len(pts), 3), val))
-    if name == "gaussian_bump_in_x":
-        val = _tensor_value(params)
-        bump = _bump(params)
-        return _closed(params, lambda t, pts: _fill(np.shape(t) + (len(pts), 3),
-                                                    bump(pts)[:, None] * val))
-    raise ConfigError(f"unknown tensor function {name!r}")
-
-
-def scalar_fn(name: str, params: Fields):
-    if name == "constant":
-        val = _scalar_value(params, "value", 1.0)
-        return _closed(params, lambda t, pts: np.full(np.shape(t) + (len(pts),), val))
-    if name == "linear_in_t":
-        base = _scalar_value(params, "base", 1.0)
-        slope = _scalar_value(params, "slope", 0.0)
-        return _closed(params, lambda t, pts: _linear(t, len(pts), base, slope))
-    if name == "gaussian_bump_in_x":
+        val = _scalar_value(params, "amplitude", 1.0) * np.array([1.0, 0.0, -1.0])
+        fn = lambda t, pts: _fill(np.shape(t) + (len(pts), 3), val)
+    elif name == "gaussian_bump_in_x" and role == "scalar":
         amp = _scalar_value(params, "amplitude", 1.0)
         offset = _scalar_value(params, "offset", 0.0)
         bump = _bump(params)
         # np.full, not _fill: a per-point value would be copied one point at a time
-        return _closed(params, lambda t, pts: np.full(np.shape(t) + (len(pts),),
-                                                      offset + amp * bump(pts)))
-    raise ConfigError(f"unknown scalar function {name!r}")
+        fn = lambda t, pts: np.full(np.shape(t) + (len(pts),), offset + amp * bump(pts))
+    elif name == "gaussian_bump_in_x":
+        val = _value(role, params, "value")
+        bump = _bump(params)
+        fn = lambda t, pts: _fill(np.shape(t) + (len(pts), *tail), bump(pts)[:, None] * val)
+    else:
+        raise ConfigError(f"unknown {role} function {name!r}")
+    params.close()
+    return fn

@@ -45,9 +45,12 @@ class Mesh2D:
         p = self.nodes[self.triangles]          # (m, 3, 2)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         if np.any(det <= 0.0):
             raise ValueError("all triangles must have positive signed area")
+        if not np.isfinite(det).all():
+            raise ValueError("all triangles must have a finite signed area, but one overflows")
         self.areas = 0.5 * det
         self.centroids = p.mean(axis=1)
         # int32 indices: a sparse array keeps the index dtype it is built from

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from . import verify as verify_mod
-from .catalog import MAX_INTEGER, ConfigError, Fields, scalar_fn, tensor_fn, vector_fn
+from .catalog import MAX_INTEGER, ConfigError, Fields, data_fn
 from .fem2d import SIDES, FemSpace, build_rect_mesh, write_vtk
 from .scenarios import explicit_blowup_spec
 from .stepper import (
@@ -82,11 +82,11 @@ class RunConfig:
     verify_params: dict = field(default_factory=dict)
 
 
-def _build_fn(cfg: Fields, role: str, builder):
-    fn = cfg.section(role, {"name": "constant"})
+def _build_fn(cfg: Fields, key: str, role: str):
+    fn = cfg.section(key, {"name": "constant"})
     name, params = fn.get("name"), fn.section("params")
     fn.close()
-    return builder(name, params)
+    return data_fn(role, name, params)
 
 
 def _dt_list(study: Fields, total_t: float) -> list[float]:
@@ -132,17 +132,15 @@ def parse_config(path) -> RunConfig:
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}")
 
-    f_fn = _build_fn(cfg, "f", vector_fn)
-    h_fn = _build_fn(cfg, "h", tensor_fn)
-    p_fn = _build_fn(cfg, "p", tensor_fn)
-    g_fn = _build_fn(cfg, "g", scalar_fn)  # a constant g defaults to 1
+    f_fn = _build_fn(cfg, "f", "vector")
+    h_fn = _build_fn(cfg, "h", "tensor")
+    p_fn = _build_fn(cfg, "p", "tensor")
+    g_fn = _build_fn(cfg, "g", "scalar")  # a constant g defaults to 1
     v0_fn = s0_fn = None
     if cfg.get("v0", None) is not None:
-        vf = _build_fn(cfg, "v0", vector_fn)
-        v0_fn = lambda pts: vf(0.0, pts)
+        v0_fn = _build_fn(cfg, "v0", "vector")
     if cfg.get("sigma0", None) is not None:
-        sf = _build_fn(cfg, "sigma0", tensor_fn)
-        s0_fn = lambda pts: sf(0.0, pts)
+        s0_fn = _build_fn(cfg, "sigma0", "tensor")
 
     # the mesh fields are checked in 0d mode too, where they go unused
     mesh = cfg.section("mesh")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .catalog import Fields, scalar_fn, tensor_fn, vector_fn
+from .catalog import Fields, data_fn
 from .fem2d import FemSpace, build_rect_mesh
 from .stepper import ProblemSpec
 
@@ -12,9 +12,9 @@ def _radial_0d(n_steps: int, total_time: float, g) -> ProblemSpec:
     h = diag(1, -1), with p = 0 and the yield radius g."""
     return ProblemSpec(
         nu=1.0, T=total_time, N=n_steps, space=None,
-        f=vector_fn("constant", Fields({"value": [0, 0]}, "params")),
-        h=tensor_fn("radial_deviatoric", Fields({"amplitude": 1.0}, "params")),
-        p=tensor_fn("constant", Fields({}, "params")),
+        f=data_fn("vector", "constant", Fields({"value": [0, 0]}, "params")),
+        h=data_fn("tensor", "radial_deviatoric", Fields({"amplitude": 1.0}, "params")),
+        p=data_fn("tensor", "constant", Fields({}, "params")),
         g=g,
     )
 
@@ -26,7 +26,7 @@ def radial_0d_spec(n_steps: int = 2000, total_time: float = 2.0) -> ProblemSpec:
     grows linearly until its norm reaches the yield radius and then sticks.
     """
     return _radial_0d(n_steps, total_time,
-                      scalar_fn("constant", Fields({"value": 1.0}, "params")))
+                      data_fn("scalar", "constant", Fields({"value": 1.0}, "params")))
 
 
 def growing_yield_0d_spec(n_steps: int = 2000, total_time: float = 4.0) -> ProblemSpec:
@@ -35,8 +35,8 @@ def growing_yield_0d_spec(n_steps: int = 2000, total_time: float = 4.0) -> Probl
     Contact happens at t* = 1/(sqrt(2)-1); afterwards the stress rides the
     boundary: sigma(t) = (1+t) diag(1,-1)/sqrt(2).
     """
-    return _radial_0d(n_steps, total_time,
-                      scalar_fn("linear_in_t", Fields({"base": 1.0, "slope": 1.0}, "params")))
+    return _radial_0d(n_steps, total_time, data_fn(
+        "scalar", "linear_in_t", Fields({"base": 1.0, "slope": 1.0}, "params")))
 
 
 def unit_square_spec(n_steps: int = 200, mesh_n: int = 16) -> ProblemSpec:
@@ -48,10 +48,10 @@ def unit_square_spec(n_steps: int = 200, mesh_n: int = 16) -> ProblemSpec:
     return ProblemSpec(
         nu=1.0, T=1.0, N=n_steps,
         space=FemSpace(build_rect_mesh(mesh_n, mesh_n, 1.0, 1.0, ("left",))),
-        f=vector_fn("constant", Fields({"value": [0.0, -8.0]}, "params")),
-        h=tensor_fn("constant", Fields({}, "params")),
-        p=tensor_fn("constant", Fields({}, "params")),
-        g=scalar_fn("constant", Fields({"value": 1.0}, "params")),
+        f=data_fn("vector", "constant", Fields({"value": [0.0, -8.0]}, "params")),
+        h=data_fn("tensor", "constant", Fields({}, "params")),
+        p=data_fn("tensor", "constant", Fields({}, "params")),
+        g=data_fn("scalar", "constant", Fields({"value": 1.0}, "params")),
     )
 
 
@@ -62,14 +62,14 @@ def explicit_blowup_spec() -> ProblemSpec:
     never caps the runaway stress.  Non-gating: used only to illustrate the
     conditional stability of the explicit variant.
     """
-    bump = vector_fn("gaussian_bump_in_x", Fields(
+    bump = data_fn("vector", "gaussian_bump_in_x", Fields(
         {"value": [1.0, 0.0], "center": [0.5, 0.5], "width": 0.15}, "params"))
     return ProblemSpec(
         nu=1e-4, T=1.0, N=10,
         space=FemSpace(build_rect_mesh(16, 16, 1.0, 1.0, ("left", "right", "top", "bottom"))),
-        f=vector_fn("constant", Fields({"value": [0.0, 0.0]}, "params")),
-        h=tensor_fn("constant", Fields({}, "params")),
-        p=tensor_fn("constant", Fields({}, "params")),
-        g=scalar_fn("constant", Fields({"value": 1e9}, "params")),
-        v0=lambda pts: bump(0.0, pts),
+        f=data_fn("vector", "constant", Fields({"value": [0.0, 0.0]}, "params")),
+        h=data_fn("tensor", "constant", Fields({}, "params")),
+        p=data_fn("tensor", "constant", Fields({}, "params")),
+        g=data_fn("scalar", "constant", Fields({"value": 1e9}, "params")),
+        v0=bump,
     )

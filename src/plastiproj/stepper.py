@@ -79,12 +79,12 @@ class ProblemSpec:
     or None for the 0d sweeping process.  ``with_steps`` keeps the space, so
     the runs of a study share its mesh, matrices and cached factors.
 
-    Data functions are vectorized over the k points ``pts``: f(t, pts) ->
-    (k, 2), h/p(t, pts) -> (k, 3) packed tensors, g(t, pts) -> (k,).  They
-    are vectorized over time too: for a 1-D array t of m times each returns
-    one row per time, (m, k, 2), (m, k, 3) or (m, k), and every row must
-    equal the call at that scalar time.  A 0d run samples its data that way,
-    ``BLOCK_0D`` steps per call; a fem step samples its own step.
+    Every datum is a function of (t, pts), vectorized over the k points
+    ``pts``: f/v0 -> (k, 2), h/p/sigma0 -> (k, 3) packed tensors, g -> (k,);
+    ``initial_state`` calls v0 and sigma0 at t = 0.  f, h, p and g are
+    vectorized over time too: for a 1-D array t of m times each returns one
+    row per time, equal to the call at that scalar time.  A 0d run samples
+    its data that way, ``BLOCK_0D`` steps per call; a fem step its own step.
     """
 
     nu: float
@@ -95,8 +95,8 @@ class ProblemSpec:
     h: Callable[[float, np.ndarray], np.ndarray]
     p: Callable[[float, np.ndarray], np.ndarray]
     g: Callable[[float, np.ndarray], np.ndarray]
-    v0: Callable[[np.ndarray], np.ndarray] | None = None
-    sigma0: Callable[[np.ndarray], np.ndarray] | None = None
+    v0: Callable[[float, np.ndarray], np.ndarray] | None = None
+    sigma0: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu > 0.0):
@@ -260,7 +260,12 @@ class _Engine:
         """M/dt + visc K with the constrained dofs eliminated."""
         # times the reciprocal, as the values of a / dt would differ in the last bit
         a = self.space.mass * (1.0 / self.spec.dt) + self.space.strain_stiff * visc
-        return apply_dirichlet(a, self.mask)
+        a = apply_dirichlet(a, self.mask)
+        # else SuperLU reports an overflowed entry as an exactly singular factor
+        if not np.isfinite(a.data).all():
+            raise RuntimeError(f"step matrix M/dt + {visc!r} K overflows "
+                               f"(nu={self.spec.nu!r}, dt={self.spec.dt!r})")
+        return a
 
     @cached_property
     def a_proj(self) -> SparseSym:
@@ -321,12 +326,12 @@ def initial_state(spec: ProblemSpec) -> SchemeState:
     if spec.mode == "fem":
         v0 = np.zeros(eng.mesh.n_dofs)
         if spec.v0 is not None:
-            v0 = np.asarray(spec.v0(eng.mesh.nodes), dtype=float).reshape(-1)
+            v0 = np.asarray(spec.v0(0.0, eng.mesh.nodes), dtype=float).reshape(-1)
         v0 = np.where(eng.mask, 0.0, v0)
     else:
         v0 = None
     if spec.sigma0 is not None:
-        s0 = np.asarray(spec.sigma0(eng.pts), dtype=float).reshape(len(eng.pts), 3)
+        s0 = np.asarray(spec.sigma0(0.0, eng.pts), dtype=float).reshape(len(eng.pts), 3)
     else:
         s0 = np.zeros((len(eng.pts), 3))
     g0 = eng.g_at(0.0)

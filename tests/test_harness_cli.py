@@ -18,9 +18,12 @@ from plastiproj.verify import SuiteResult
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
-# byte-exact outputs of configs/radial_0d.json, which the 0d path must keep
+# byte-exact outputs of configs/radial_0d.json and rich_fem.json, which the 0d and fem
+# paths must keep
 GOLDEN = os.path.join(ROOT, "tests", "data")
 RADIAL_0D = os.path.join(ROOT, "configs", "radial_0d.json")
+# a fem config that uses every catalog function; its constraint is active from step 5
+RICH_FEM = os.path.join(GOLDEN, "rich_fem.json")
 
 
 def write_config(tmp_path, name, **overrides):
@@ -148,6 +151,9 @@ def test_missing_nu_names_the_field(tmp_path):
     # a 2x2 matrix must be symmetric: its lower entry would be dropped
     ("h.params.value", {"h": {"name": "constant", "params": {"value": [[1, 2], [3, 4]]}}}),
     ("p.params.slope", {"p": {"name": "linear_in_t", "params": {"slope": [[0, 1], [0, 0]]}}}),
+    # element areas overflow to inf, which would leave the step matrix singular
+    ("mesh", {"mesh": {"nx": 2, "ny": 2, "lx": 1e200, "ly": 1e200},
+              "f": {"name": "constant", "params": {"value": [0, -1]}}}),
 ])
 def test_bad_number_exits_two_naming_the_field(tmp_path, capsys, field, overrides):
     path = write_config(tmp_path, "bad.json", **{"mode": "fem", **overrides})
@@ -412,6 +418,26 @@ def test_radial_0d_convergence_matches_golden(tmp_path):
             == _golden("radial_0d_projection_convergence.csv"))
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_rich_fem_run_matches_golden_norms(tmp_path, scheme):
+    with open(RICH_FEM) as fh:
+        cfg = dict(json.load(fh), scheme=scheme)
+    path = tmp_path / "rich_fem.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "norms.csv").read_bytes() == _golden(f"rich_fem_{scheme}_norms.csv")
+    if scheme == "projection":
+        assert ((tmp_path / "o" / "snapshot_000008.vtk").read_bytes()
+                == _golden("rich_fem_projection_snapshot_000008.vtk"))
+
+
+@pytest.mark.parametrize("command", ["stability", "convergence"])
+def test_rich_fem_study_matches_golden(tmp_path, command):
+    assert cli.main([command, "--config", RICH_FEM, "--out", str(tmp_path / "o")]) == 0
+    assert ((tmp_path / "o" / f"{command}.csv").read_bytes()
+            == _golden(f"rich_fem_projection_{command}.csv"))
+
+
 def test_convergence_order_is_the_slope_over_the_step_ratio(tmp_path, monkeypatch):
     # errors equal to dt have order 1 whatever the ratio of successive steps
     path = write_config(tmp_path, "conv.json", study={"dt_list": [0.5, 0.1, 0.05],
@@ -637,8 +663,13 @@ def run_cli(*args):
     ({"N": 3, "p": {"name": "constant", "params": {"value": [5e307, 0.0, -5e307]}},
       "g": {"name": "constant", "params": {"value": 1e308}}},
      "deviator norm of the trial stress at step 0 overflows"),
+    # entries of the step matrix past the float range: (nu + dt) K, and nu + dt = 1e308
+    ({"mode": "fem", "nu": 1e308, "N": 2, "mesh": {"nx": 2, "ny": 2}},
+     "step matrix M/dt + 1e+308 K overflows (nu=1e+308, dt=0.5)"),
+    ({"mode": "fem", "scheme": "implicit", "T": 1e308, "N": 1, "mesh": {"nx": 2, "ny": 2}},
+     "step matrix M/dt + 1e+308 K overflows (nu=1.0, dt=1e+308)"),
 ], ids=["fem_overflow", "0d_overflow", "0d_norm_overflow", "fem_norm_overflow",
-        "initial_norm_overflow"])
+        "initial_norm_overflow", "step_matrix_nu_overflow", "step_matrix_dt_overflow"])
 def test_overflow_prints_one_stderr_line(tmp_path, overrides, message):
     path = write_config(tmp_path, "huge.json", **overrides)
     out = tmp_path / "o"

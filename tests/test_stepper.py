@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from plastiproj import linalg, stepper, tensor_core as tc, yield_charts as yc
-from plastiproj.catalog import ConfigError, Fields, scalar_fn, tensor_fn, vector_fn
+from plastiproj.catalog import ConfigError, Fields, data_fn
 from plastiproj.fem2d import FemSpace, body_load, build_rect_mesh, strain_of
 from plastiproj.scenarios import (
     growing_yield_0d_spec,
@@ -38,7 +38,7 @@ def small_fem_spec(**kw):
 def rest_spec(n_steps=5, mesh_n=4):
     return replace(
         unit_square_spec(n_steps=n_steps, mesh_n=mesh_n),
-        f=vector_fn("constant", Fields({"value": [0.0, 0.0]}, "params")),
+        f=data_fn("vector", "constant", Fields({"value": [0.0, 0.0]}, "params")),
     )
 
 
@@ -72,22 +72,23 @@ def test_with_steps_shares_the_space():
 
 
 def test_initial_state_rejects_infeasible_sigma0():
-    spec = replace(radial_0d_spec(), sigma0=lambda pts: np.tile([2.0, 0.0, -2.0], (len(pts), 1)))
+    spec = replace(radial_0d_spec(), sigma0=lambda t, pts: np.tile([2.0, 0.0, -2.0], (len(pts), 1)))
     with pytest.raises(ValueError, match="yield"):
         initial_state(spec)
 
 
 def test_run_rejects_negative_yield_radius():
     spec = replace(radial_0d_spec(n_steps=4, total_time=1.0),
-                   g=scalar_fn("linear_in_t", Fields({"base": 0.1, "slope": -1.0}, "params")))
+                   g=data_fn("scalar", "linear_in_t",
+                             Fields({"base": 0.1, "slope": -1.0}, "params")))
     with pytest.raises(ValueError, match="negative"):
         run(spec)
 
 
 def test_g_at_names_the_first_negative_time():
     # g(t) = 0.3 - t on every element: negative from the sample t = 0.3125 on
-    spec = small_fem_spec(g=scalar_fn(
-        "linear_in_t", Fields({"base": 0.3, "slope": -1.0}, "params")))
+    spec = small_fem_spec(g=data_fn(
+        "scalar", "linear_in_t", Fields({"base": 0.3, "slope": -1.0}, "params")))
     eng = stepper._Engine(spec)
     times = np.linspace(0.0, 1.0, 17)
     with pytest.raises(ConfigError) as err:
@@ -107,7 +108,7 @@ def test_g_at_names_the_first_negative_time():
 
 def test_time_average_constant(monkeypatch):
     pts = np.zeros((1, 2))
-    fn = tensor_fn("constant", Fields({"value": [1.0, 2.0, 3.0]}, "params"))
+    fn = data_fn("tensor", "constant", Fields({"value": [1.0, 2.0, 3.0]}, "params"))
     for q in (1, 4):
         monkeypatch.setattr(stepper, "QUAD_POINTS", q)
         np.testing.assert_allclose(time_average(fn, 3, 0.1, pts), [[1.0, 2.0, 3.0]])
@@ -115,7 +116,7 @@ def test_time_average_constant(monkeypatch):
 
 def test_time_average_linear_midpoint(monkeypatch):
     pts = np.zeros((1, 2))
-    fn = scalar_fn("linear_in_t", Fields({"base": 0.0, "slope": 1.0}, "params"))
+    fn = data_fn("scalar", "linear_in_t", Fields({"base": 0.0, "slope": 1.0}, "params"))
     dt = 0.2
     # first interval [0, dt], one midpoint -> dt/2; exact for linear data
     for q in (1, 4):
@@ -141,20 +142,22 @@ def _same_bits(a, b):
 
 DATA = {
     "linear_in_t": dict(
-        f=vector_fn("linear_in_t", Fields({"base": [0.2, -3.0], "slope": [1.0 / 3.0, 0.7]},
-                                          "params")),
-        h=tensor_fn("linear_in_t", Fields({"base": [0.3, 0.1, -0.2],
-                                           "slope": [0.7, -0.2, 1.0 / 7.0]}, "params")),
-        p=tensor_fn("linear_in_t", Fields({"base": [0.05, 0.0, 0.1], "slope": [0.1, 0.3, -0.2]},
-                                          "params")),
-        g=scalar_fn("linear_in_t", Fields({"base": 0.4, "slope": 1.0 / 3.0}, "params")),
+        f=data_fn("vector", "linear_in_t",
+                  Fields({"base": [0.2, -3.0], "slope": [1.0 / 3.0, 0.7]}, "params")),
+        h=data_fn("tensor", "linear_in_t",
+                  Fields({"base": [0.3, 0.1, -0.2], "slope": [0.7, -0.2, 1.0 / 7.0]}, "params")),
+        p=data_fn("tensor", "linear_in_t",
+                  Fields({"base": [0.05, 0.0, 0.1], "slope": [0.1, 0.3, -0.2]}, "params")),
+        g=data_fn("scalar", "linear_in_t", Fields({"base": 0.4, "slope": 1.0 / 3.0}, "params")),
     ),
     "gaussian_bump_in_x": dict(
-        f=vector_fn("gaussian_bump_in_x", Fields({"value": [0.5, -2.0], "width": 0.3}, "params")),
-        h=tensor_fn("gaussian_bump_in_x", Fields({"value": [1.0, 0.2, -1.0]}, "params")),
-        p=tensor_fn("gaussian_bump_in_x", Fields({"value": [0.1, 0.0, -0.1],
-                                                  "center": [0.2, 0.7]}, "params")),
-        g=scalar_fn("gaussian_bump_in_x", Fields({"amplitude": 0.5, "offset": 0.3}, "params")),
+        f=data_fn("vector", "gaussian_bump_in_x",
+                  Fields({"value": [0.5, -2.0], "width": 0.3}, "params")),
+        h=data_fn("tensor", "gaussian_bump_in_x", Fields({"value": [1.0, 0.2, -1.0]}, "params")),
+        p=data_fn("tensor", "gaussian_bump_in_x",
+                  Fields({"value": [0.1, 0.0, -0.1], "center": [0.2, 0.7]}, "params")),
+        g=data_fn("scalar", "gaussian_bump_in_x",
+                  Fields({"amplitude": 0.5, "offset": 0.3}, "params")),
     ),
 }
 
@@ -218,8 +221,8 @@ def test_negative_g_in_a_later_block_names_its_step():
     # inside the third block, and at step 2 block + 1, which opens it
     for first_bad in (2 * block + 7, 2 * block + 1):
         # g(t_n) = (first_bad - 0.5) dt - t_n turns negative at step first_bad
-        bad = replace(spec, N=n_steps, g=scalar_fn(
-            "linear_in_t", Fields({"base": (first_bad - 0.5) * dt, "slope": -1.0}, "params")))
+        bad = replace(spec, N=n_steps, g=data_fn("scalar", "linear_in_t", Fields(
+            {"base": (first_bad - 0.5) * dt, "slope": -1.0}, "params")))
         with pytest.raises(ConfigError) as err:
             run(bad)
         assert str(err.value) == f"field 'g': negative yield radius at t={first_bad * bad.dt}"
@@ -239,13 +242,13 @@ def test_non_finite_trial_stress_in_a_later_block_names_its_step(offset):
         return radial(t, pts) * np.reshape(nan, np.shape(t) + (1, 1))
 
     with pytest.raises(RuntimeError) as err:
-        run(replace(spec, g=scalar_fn("constant", Fields({"value": 1e9}, "params")), h=h))
+        run(replace(spec, g=data_fn("scalar", "constant", Fields({"value": 1e9}, "params")), h=h))
     assert str(err.value) == f"trial stress at step {first_bad} is non-finite"
 
 
 def test_time_average_validation():
     pts = np.zeros((1, 2))
-    fn = scalar_fn("constant", Fields({"value": 1.0}, "params"))
+    fn = data_fn("scalar", "constant", Fields({"value": 1.0}, "params"))
     with pytest.raises(ValueError):
         time_average(fn, 0, 0.1, pts)
 
@@ -262,7 +265,7 @@ def test_step_projection_0d_inside():
 
 def test_step_projection_0d_clipped():
     spec = replace(radial_0d_spec(), N=1, T=0.1,
-                   sigma0=lambda pts: np.tile([0.7, 0.0, -0.7], (len(pts), 1)))
+                   sigma0=lambda t, pts: np.tile([0.7, 0.0, -0.7], (len(pts), 1)))
     s = run(spec).states[1]
     np.testing.assert_allclose(s.sigma_star, [[0.8, 0.0, -0.8]], atol=1e-15)
     np.testing.assert_allclose(s.sigma, [[1.0 / SQ2, 0.0, -1.0 / SQ2]], atol=1e-14)
@@ -310,11 +313,11 @@ def _signed_zero_spec(n_steps):
     # of sigma is -0.0 up to there and +0.0 after
     return replace(
         radial_0d_spec(n_steps=n_steps, total_time=1.3),
-        h=tensor_fn("linear_in_t", Fields({"base": [0.8, -0.3, 0.8],
+        h=data_fn("tensor", "linear_in_t", Fields({"base": [0.8, -0.3, 0.8],
                                            "slope": [0.1, 0.1, -0.1]}, "params")),
-        p=tensor_fn("linear_in_t", Fields({"base": [-0.5, 0.0, -0.5],
+        p=data_fn("tensor", "linear_in_t", Fields({"base": [-0.5, 0.0, -0.5],
                                            "slope": [0.1, 0.0, -0.1]}, "params")),
-        g=scalar_fn("constant", Fields({"value": 0.0}, "params")))
+        g=data_fn("scalar", "constant", Fields({"value": 0.0}, "params")))
 
 
 ZERO_D_SPECS = {
@@ -484,7 +487,7 @@ def test_implicit_agrees_with_projection_when_inactive():
     # huge yield radius: the projection is the identity and both schemes
     # solve the same linear problem up to the O(dt) stress-term difference,
     # which the fixed point absorbs
-    spec = small_fem_spec(g=scalar_fn("constant", Fields({"value": 1e9}, "params")))
+    spec = small_fem_spec(g=data_fn("scalar", "constant", Fields({"value": 1e9}, "params")))
     a = run(spec, "projection")
     b = run(spec, "implicit")
     assert all(st.fp_converged for st in b.states)
