@@ -51,6 +51,23 @@ def _shape(raw):
     return None if len(rows) > 1 or None in rows else (len(raw), *rows.pop())
 
 
+class JsonObject(dict):
+    """A JSON object read by ``json.load(..., object_pairs_hook=JsonObject.of)``,
+    which keeps the last value of a repeated key; ``duplicate`` is the first
+    key that its text repeats, or None."""
+
+    __slots__ = ("duplicate",)
+
+    @classmethod
+    def of(cls, pairs: list[tuple]) -> JsonObject:
+        obj = cls(pairs)
+        obj.duplicate = None
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            obj.duplicate = next(key for i, key in enumerate(keys) if key in keys[:i])
+        return obj
+
+
 class Fields:
     """The JSON object ``obj`` at the dotted ``path`` ("" at the top level).
     A default of ``...`` marks a required field; any other is returned as is."""
@@ -61,6 +78,9 @@ class Fields:
         if not isinstance(obj, dict):
             raise ConfigError(f"field {path!r}: expected an object, got {obj!r}")
         self.obj, self.prefix, self.taken = obj, path + "." if path else "", set()
+        duplicate = getattr(obj, "duplicate", None)
+        if duplicate is not None:
+            raise self.error(duplicate, "duplicate key")
 
     def error(self, key: str, reason: str) -> ConfigError:
         return ConfigError(f"field {self.prefix + key!r}: {reason}")

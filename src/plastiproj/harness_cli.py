@@ -1,16 +1,16 @@
 """Config parsing, study drivers, and CSV/VTK output.
 
 Subcommands: run | stability | convergence | verify, each taking
---config <path>, --out <dir>, optional --seed <int>.  Exit codes: 0 success,
-1 verification failure, 2 configuration error, numerical failure, outputs
-that cannot be written or memory that runs out.
+--config <path> and --out <dir>.  Exit codes: 0 success, 1 verification
+failure, 2 configuration error, numerical failure, outputs that cannot be
+written or memory that runs out.
 
 Configs are JSON; every data function is referenced by catalog name plus
 parameters so a run is reproducible from the file alone.  Every config
 object is read through ``catalog.Fields``.  CSV layouts are frozen and
 documented in the README; every cell is checked finite before a table is
-written and formatted with %.17g, so repeated runs with the same config and
-seed are byte-identical.
+written and formatted with %.17g, so repeated runs with the same config are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from . import verify as verify_mod
-from .catalog import MAX_INTEGER, ConfigError, Fields, data_fn
+from .catalog import MAX_INTEGER, ConfigError, Fields, JsonObject, data_fn
 from .fem2d import SIDES, FemSpace, build_rect_mesh, write_vtk
 from .scenarios import explicit_blowup_spec
 from .stepper import (
@@ -108,7 +108,7 @@ def _dt_list(study: Fields, total_t: float) -> list[float]:
 def parse_config(path) -> RunConfig:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=JsonObject.of)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -122,7 +122,7 @@ def parse_config(path) -> RunConfig:
     cfg = Fields(raw, "")
     mode = cfg.get("mode", "fem")
     if mode not in ("fem", "0d"):
-        raise ConfigError(f"mode must be 'fem' or '0d', got {mode!r}")
+        raise cfg.error("mode", f"must be 'fem' or '0d', got {mode!r}")
     nu = cfg.number("nu")
     total_t = cfg.number("T")
     n_steps = cfg.number("N", integer=True, lowest=1)
@@ -130,7 +130,7 @@ def parse_config(path) -> RunConfig:
         raise cfg.error("N", f"T / N underflows to 0 with T = {total_t!r}, got {n_steps}")
     scheme = cfg.get("scheme", "projection")
     if scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}")
+        raise cfg.error("scheme", f"must be one of {'/'.join(SCHEMES)}, got {scheme!r}")
 
     f_fn = _build_fn(cfg, "f", "vector")
     h_fn = _build_fn(cfg, "h", "tensor")
@@ -147,7 +147,8 @@ def parse_config(path) -> RunConfig:
     nx, ny = (mesh.number(key, 8, integer=True, lowest=1) for key in ("nx", "ny"))
     lx, ly = mesh.number("lx", 1.0), mesh.number("ly", 1.0)
     sides = mesh.get("gamma1", ["left"])
-    if not (isinstance(sides, list) and sides and all(side in SIDES for side in sides)):
+    if not (isinstance(sides, list) and sides
+            and all(isinstance(side, str) and side in SIDES for side in sides)):
         raise mesh.error("gamma1", f"expected a nonempty list from {'/'.join(SIDES)}, got {sides!r}")
     mesh.close()
     study = cfg.section("study")
@@ -331,7 +332,6 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=".")
-        sp.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -339,10 +339,6 @@ def main(argv=None) -> int:
         # one line below; numpy's own warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             cfg = parse_config(args.config)
-            if args.seed is not None:
-                if args.seed < 0:
-                    raise ConfigError(f"option '--seed': must be >= 0, got {args.seed}")
-                cfg.seed = args.seed
             if args.command == "run":
                 cmd_run(cfg, args.out)
                 return 0

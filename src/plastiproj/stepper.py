@@ -153,17 +153,6 @@ class Trajectory:
     fp_iters: np.ndarray
     fp_converged: np.ndarray
 
-    @classmethod
-    def from_states(cls, spec: ProblemSpec, states: list[SchemeState]) -> "Trajectory":
-        """The trajectory of the states n = 0 .. spec.N, copied into columns."""
-        if len(states) != spec.N + 1:
-            raise ValueError(f"expected {spec.N + 1} states, got {len(states)}")
-        v = None if states[0].v is None else np.stack([s.v for s in states])
-        return cls(spec, np.stack([s.sigma for s in states]),
-                   np.stack([s.sigma_star for s in states]), v,
-                   np.array([s.fp_iters for s in states], dtype=int),
-                   np.array([s.fp_converged for s in states], dtype=bool))
-
     @property
     def space(self) -> FemSpace | None:
         return self.spec.space
@@ -382,8 +371,7 @@ def _step(prev: SchemeState, eng: _Engine, n: int, scheme: str) -> SchemeState:
     for it in range(1, FP_MAX_ITER + 1):
         v = eng.solve_momentum(eng.solve_visc, prev, n, load, sigma)
         sigma_star, sigma_next = update(v)
-        diff = sigma_next - sigma
-        dist = math.sqrt(max(eng.space.stress_inner(diff, diff), 0.0))
+        dist = eng.space.stress_l2(sigma_next - sigma)
         sigma = sigma_next
         if dist <= FP_TOL:
             return SchemeState(n, t_n, v, sigma_star, sigma, fp_iters=it)

@@ -106,9 +106,6 @@ class SymMat:
     def __rmul__(self, c: float) -> "SymMat":
         return self.__mul__(c)
 
-    def __neg__(self) -> "SymMat":
-        return self.__mul__(-1.0)
-
 
 # -- scalar operations -----------------------------------------------------
 

@@ -7,6 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from conftest import stack_states
 from hypothesis import example, given, settings, strategies as st
 
 from plastiproj import fem2d, stepper
@@ -154,6 +155,10 @@ def test_missing_nu_names_the_field(tmp_path):
     # element areas overflow to inf, which would leave the step matrix singular
     ("mesh", {"mesh": {"nx": 2, "ny": 2, "lx": 1e200, "ly": 1e200},
               "f": {"name": "constant", "params": {"value": [0, -1]}}}),
+    # a list is no side, and is unhashable
+    ("mesh.gamma1", {"mesh": {"gamma1": [["left"]]}}),
+    ("mode", {"mode": "2d"}),
+    ("scheme", {"scheme": "crank"}),
 ])
 def test_bad_number_exits_two_naming_the_field(tmp_path, capsys, field, overrides):
     path = write_config(tmp_path, "bad.json", **{"mode": "fem", **overrides})
@@ -162,6 +167,21 @@ def test_bad_number_exits_two_naming_the_field(tmp_path, capsys, field, override
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"field '{field}'" in err[0]
+
+
+@pytest.mark.parametrize("field, text", [
+    ("N", '{"mode": "0d", "nu": 1.0, "T": 2.0, "N": 20, "N": 40}'),
+    ("h.params.amplitude",
+     '{"mode": "0d", "nu": 1.0, "T": 2.0, "N": 20, "h": {"name": "radial_deviatoric", '
+     '"params": {"amplitude": 1.0, "amplitude": -5.0}}}'),
+], ids=["top_level", "nested"])
+def test_duplicate_key_exits_two_naming_the_field(tmp_path, capsys, field, text):
+    # json.load alone would keep the last value; json.dumps cannot write a repeated key
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: field '{field}': duplicate key"]
 
 
 def test_config_must_be_an_object(tmp_path, capsys):
@@ -547,7 +567,7 @@ def test_convergence_errors_sees_the_last_reference_node(tmp_path):
     def traj(sigmas):
         n = len(sigmas) - 1
         states = [SchemeState(k, k / n, None, s[None], s[None]) for k, s in enumerate(sigmas)]
-        return Trajectory.from_states(spec.with_steps(n), states)
+        return stack_states(spec.with_steps(n), states)
 
     # the only large error sits at t = T, where both series have a node
     ref = traj([zero, np.array([1.0, 0.0, 0.0]), zero, zero, np.array([0.0, 3.0, 0.0])])
@@ -815,15 +835,18 @@ def test_fuzzed_config_exit_code(command, mode, scheme, nu, total_t, n_steps, nx
     assert code in (0, 1, 2)
 
 
-def test_negative_seed_option_exits_two(tmp_path, capsys):
+def test_seed_option_is_rejected(tmp_path, capsys):
+    # the seed is read from the config alone
     path = write_config(tmp_path, "s.json")
-    args = ["verify", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "-3"]
-    assert cli.main(args) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "configuration error: option '--seed': must be >= 0, got -3"]
+    args = ["verify", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "3"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
-def test_seed_override(tmp_path):
+def test_config_seed(tmp_path):
     path = write_config(tmp_path, "s.json", seed=3)
     cfg = cli.parse_config(path)
     assert cfg.seed == 3

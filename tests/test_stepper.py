@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import stack_states
 
 from plastiproj import linalg, stepper, tensor_core as tc, yield_charts as yc
 from plastiproj.catalog import ConfigError, Fields, data_fn
@@ -15,7 +16,6 @@ from plastiproj.scenarios import (
 )
 from plastiproj.stepper import (
     SchemeState,
-    Trajectory,
     discrete_norms,
     energy_report,
     initial_state,
@@ -303,7 +303,7 @@ def _hand_states(spec, scheme):
 
 
 def _run_0d_reference(spec, scheme):
-    return Trajectory.from_states(spec, _hand_states(spec, scheme))
+    return stack_states(spec, _hand_states(spec, scheme))
 
 
 def _signed_zero_spec(n_steps):
@@ -404,8 +404,6 @@ def test_state_views_match_the_state_list(case):
     _same_bits(views[-1].sigma, states[-1].sigma)
     with pytest.raises(IndexError):
         traj.state(spec.N + 1)
-    with pytest.raises(ValueError, match="expected"):
-        Trajectory.from_states(spec, states[:-1])
 
 
 def test_0d_run_holds_only_its_columns():
@@ -559,7 +557,7 @@ def test_discrete_norms_constant_trajectory():
     sig = np.tile([0.3, 0.1, -0.3], (mesh.n_elements, 1))
     states = [SchemeState(n=k, t=k * spec.dt, v=v.copy(), sigma_star=sig.copy(),
                           sigma=sig.copy()) for k in range(4)]
-    rep = discrete_norms(Trajectory.from_states(spec, states))
+    rep = discrete_norms(stack_states(spec, states))
     assert rep.dual_norm_dv == pytest.approx(0.0, abs=1e-12)
     assert rep.gap_v == pytest.approx(0.0, abs=1e-14)
     assert rep.gap_sigma == pytest.approx(0.0, abs=1e-14)
@@ -580,7 +578,7 @@ def test_discrete_norms_single_step_gap():
         SchemeState(n=0, t=0.0, v=np.zeros(mesh.n_dofs), sigma_star=z.copy(), sigma=z.copy()),
         SchemeState(n=1, t=spec.dt, v=v1, sigma_star=z.copy(), sigma=z.copy()),
     ]
-    rep = discrete_norms(Trajectory.from_states(spec, states))
+    rep = discrete_norms(stack_states(spec, states))
     assert rep.gap_v == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert rep.linf_H_vbar == pytest.approx(1.0, rel=1e-12)
 
@@ -594,7 +592,7 @@ def test_discrete_norms_scaling():
         s.sigma = 2.0 * s.sigma
         s.sigma_star = 2.0 * s.sigma_star
     rep1 = discrete_norms(traj)
-    rep2 = discrete_norms(Trajectory.from_states(spec, doubled))
+    rep2 = discrete_norms(stack_states(spec, doubled))
     for key, val in rep1.as_dict().items():
         factor = 4.0 if key.startswith("gap") else 2.0
         assert rep2.as_dict()[key] == pytest.approx(factor * val, rel=1e-10)
