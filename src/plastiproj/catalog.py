@@ -29,6 +29,10 @@ class ConfigError(ValueError):
     """Invalid configuration content; maps to CLI exit code 2."""
 
 
+class UnknownFunction(ConfigError):
+    """A catalog name that ``data_fn`` has no function of its role for."""
+
+
 # the largest value of an integer field: up to it every count is exact as a
 # float, and an array of that many items fails to allocate (MemoryError)
 # before its size can pass numpy's limit, where numpy raises a ValueError
@@ -210,6 +214,6 @@ def data_fn(role: str, name: str, params: Fields):
         bump = _bump(params)
         fn = lambda t, pts: _fill(np.shape(t) + (len(pts), *tail), bump(pts)[:, None] * val)
     else:
-        raise ConfigError(f"unknown {role} function {name!r}")
+        raise UnknownFunction(f"unknown {role} function {name!r}")
     params.close()
     return fn

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from . import verify as verify_mod
-from .catalog import MAX_INTEGER, ConfigError, Fields, JsonObject, data_fn
+from .catalog import MAX_INTEGER, ConfigError, Fields, JsonObject, UnknownFunction, data_fn
 from .fem2d import SIDES, FemSpace, build_rect_mesh, write_vtk
 from .scenarios import explicit_blowup_spec
 from .stepper import (
@@ -86,7 +86,10 @@ def _build_fn(cfg: Fields, key: str, role: str):
     fn = cfg.section(key, {"name": "constant"})
     name, params = fn.get("name"), fn.section("params")
     fn.close()
-    return data_fn(role, name, params)
+    try:
+        return data_fn(role, name, params)
+    except UnknownFunction as exc:
+        raise fn.error("name", str(exc)) from None
 
 
 def _dt_list(study: Fields, total_t: float) -> list[float]:

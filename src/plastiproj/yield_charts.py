@@ -94,43 +94,65 @@ def kr_contains_via_chart(a, radius) -> np.ndarray:
     return np.linalg.norm(x, axis=-1) <= radius
 
 
-def _ball_samples(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
-    """Uniform samples in the radius ball of R^dim, shape (n, dim)."""
-    if radius == 0.0:
-        return np.zeros((n, dim))
-    z = rng.standard_normal((n, dim))
-    z /= np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-300)
-    r = radius * rng.random(n) ** (1.0 / dim)
-    return z * r[:, None]
+# rows per block of the argmin oracle: its per-block arrays stay in cache
+_ORACLE_BLOCK = 8192
+
+
+def _frob2(a00, a01, a10, a11):
+    """Frobenius norm of 2x2 matrices given entrywise.  The squares are added
+    in the pairing of einsum in ``frob_norm_stack`` on AVX-512 hosts, so the
+    oracle matches the stacked form bit for bit there, and in a fixed order,
+    so its bits are the same on every host."""
+    return np.sqrt((a00 * a00 + a10 * a10) + (a01 * a01 + a11 * a11))
 
 
 def argmin_oracle(
     f: np.ndarray, radius: float, n_samples: int, seed: int
 ) -> tuple[np.ndarray, float]:
-    """Brute-force nearest point to the d x d matrix f over chart samples of
+    """Brute-force nearest point to the 2 x 2 matrix f over chart samples of
     the constraint set.
 
     lam is drawn from a uniform 101-point grid on
-    [tr f/sqrt(d) - 2|f|, tr f/sqrt(d) + 2|f|] (the true minimizer's lam is
-    interior to that interval), x uniform in the radius ball.  Deterministic
-    per seed.  Returns (best sampled matrix, its Frobenius distance to f).
+    [tr f/sqrt(2) - 2|f|, tr f/sqrt(2) + 2|f|] (the true minimizer's lam is
+    interior to that interval), x uniform in the radius ball of R^3.
+    Deterministic per seed.  The samples' distances are computed from their
+    entries a block of rows at a time; ties go to the first sample.  Returns
+    (best sampled matrix, its Frobenius distance to f).
     """
-    if radius < 0.0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    f = np.asarray(f, dtype=float)
+    if f.shape != (2, 2):
+        raise ValueError(f"f must be a 2x2 matrix, got shape {f.shape}")
+    if not (math.isfinite(radius) and radius >= 0.0):
+        raise ValueError(f"radius must be finite and >= 0, got {radius}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    d = f.shape[-1]
     rng = np.random.default_rng(seed)
-    center = trace_stack(f) / math.sqrt(d)
-    half = 2.0 * max(float(frob_norm_stack(f)), 1e-12)
+    (f00, f01), (f10, f11) = f
+    center = (f00 + f11) / math.sqrt(2)
+    half = 2.0 * max(float(_frob2(f00, f01, f10, f11)), 1e-12)
     lam_grid = np.linspace(center - half, center + half, 101)
     lam = lam_grid[rng.integers(0, len(lam_grid), size=n_samples)]
-    xs = _ball_samples(rng, n_samples, d * d - 1, radius)
+    if radius == 0.0:  # no draws: every sample has x = 0
+        z, r = np.zeros((n_samples, 3)), np.zeros(n_samples)
+    else:  # x = r z/|z| is uniform in the ball
+        z = rng.standard_normal((n_samples, 3))
+        r = radius * rng.random(n_samples) ** (1.0 / 3)
 
-    mats = psi1(lam, d) + psi2(xs, d)
-    dists = frob_norm_stack(mats - f)
-    best = int(np.argmin(dists))
-    return mats[best], float(dists[best])
+    diag = dev_basis(2)[0]
+    picks = []  # (distance, index, x) of each block's nearest sample
+    for lo in range(0, n_samples, _ORACLE_BLOCK):
+        z0, z1, z2 = z[lo : lo + _ORACLE_BLOCK].T
+        r_blk = r[lo : lo + _ORACLE_BLOCK]
+        norm = np.maximum(np.sqrt((z0 * z0 + z1 * z1) + z2 * z2), 1e-300)
+        x0, x1, x2 = ((zk / norm) * r_blk for zk in (z0, z1, z2))
+        sph = lam[lo : lo + _ORACLE_BLOCK] / math.sqrt(2)
+        dist = _frob2(sph + x0 * diag[0, 0] - f00, x1 - f01, x2 - f10,
+                      sph + x0 * diag[1, 1] - f11)
+        k = int(np.argmin(dist))
+        picks.append((dist[k], lo + k, np.array([x0[k], x1[k], x2[k]])))
+    # np.argmin over the block minima keeps the first of equal ones, and a NaN
+    dist, best, x = picks[int(np.argmin([p[0] for p in picks]))]
+    return psi1(lam[best], 2) + psi2(x, 2), float(dist)
 
 
 def _chart_index(d: int) -> list[int]:

@@ -159,6 +159,8 @@ def test_missing_nu_names_the_field(tmp_path):
     ("mesh.gamma1", {"mesh": {"gamma1": [["left"]]}}),
     ("mode", {"mode": "2d"}),
     ("scheme", {"scheme": "crank"}),
+    # h, p and sigma0 are all tensor data: the message names which one
+    ("p.name", {"p": {"name": "radial_deviatoric_x"}}),
 ])
 def test_bad_number_exits_two_naming_the_field(tmp_path, capsys, field, overrides):
     path = write_config(tmp_path, "bad.json", **{"mode": "fem", **overrides})
@@ -597,6 +599,22 @@ def test_verify_small_sample_pass(tmp_path, capsys):
     header, rows = read_csv(tmp_path / "out" / "verify.csv")
     assert header == ["suite", "max_violation", "tol", "passed"]
     assert all(row[3] == "1" for row in rows)
+
+
+def test_verify_nan_case_fails_and_exits_one(tmp_path, capsys, monkeypatch):
+    # Python's max(worst, nan) would keep worst, so the suite would pass
+    monkeypatch.setattr(cli.verify_mod.yc, "inclusion_equivalence_check",
+                        lambda *args, **kw: math.nan)
+    path = write_config(
+        tmp_path, "v.json",
+        verify={"n_samples": 200, "n_oracle_cases": 2, "oracle_samples": 2000,
+                "n_vi_setups": 5, "n_vi_witnesses": 20},
+    )
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL stress_update_vi: max violation nan (tol 1.0e-10)" in out.splitlines()
+    _, rows = read_csv(tmp_path / "out" / "verify.csv")
+    assert [row[1:] for row in rows if row[0] == "stress_update_vi"] == [["nan", "1e-10", "0"]]
 
 
 def test_verify_broken_tolerance_exits_one(tmp_path, capsys, monkeypatch):

@@ -104,6 +104,52 @@ def test_argmin_oracle_validation():
         yc.argmin_oracle(np.zeros((2, 2)), 1.0, 0, seed=0)
 
 
+@pytest.mark.parametrize("f, radius", [
+    (np.zeros((2, 2)), math.nan),
+    (np.zeros((2, 2)), math.inf),
+    (np.eye(3), 1.0),
+])
+def test_argmin_oracle_rejects_a_non_finite_radius_or_a_non_2x2_f(f, radius):
+    with pytest.raises(ValueError):
+        yc.argmin_oracle(f, radius, 10, seed=0)
+
+
+# (f, radius, n_samples, seed) -> the distance and the best matrix, entry by
+# entry, as float.hex; one-past-a-block is 8193 samples.  numpy's SIMD pow and
+# libm's pow give u ** (1/3) last bits that differ on about 6% of draws; every
+# case here has the same result with either, so the table does not depend on
+# which of the two a host's numpy calls.
+ORACLE_PINS = {
+    "radius_zero": (
+        ([[1.5, -0.25], [-0.25, 0.5]], 0.0, 1000, 4), "0x1.94c583ada5b53p-1",
+        [["0x1.fffffffffffffp-1", "0x0.0p+0"], ["0x0.0p+0", "0x1.fffffffffffffp-1"]]),
+    "one_sample": (
+        ([[0.3, 0.7], [0.7, -1.1]], 0.8, 1, 5), "0x1.e6c57c6d62cf6p+0",
+        [["0x1.010da847c6262p-3", "-0x1.b3ab3bbbfdeeap-5"],
+         ["0x1.70c43b2b56f62p-4", "0x1.0d9a5c9bc9c08p-1"]]),
+    "one_past_a_block": (
+        ([[2.0, 0.5], [0.5, -1.0]], 1.3, 8193, 6), "0x1.0e024fdf796b1p+0",
+        [["0x1.41cb4596ef7dbp+0", "0x1.4688a089cc8f7p-2"],
+         ["0x1.b2e2af57de611p-4", "-0x1.8f066b3cf8818p-2"]]),
+    "large_f": (
+        ([[3.0e6, -1.2e6], [-1.2e6, -2.5e6]], 1.7, 100_000, 7), "0x1.02fc71102dd9cp+22",
+        [["0x1.e8488182985f6p+17", "-0x1.8d5e7620e0f58p-2"],
+         ["-0x1.84f37e0bac9fap-1", "0x1.e8477e7d67a00p+17"]]),
+    "non_symmetric_f": (
+        ([[0.4, 1.9], [-0.6, 1.2]], 0.9, 20_000, 8), "0x1.36fc463475a8cp+0",
+        [["0x1.2d695e9caeb6dp-1", "0x1.9071917897e9dp-1"],
+         ["-0x1.563eac6bd8305p-3", "0x1.251266971e53ep+0"]]),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_PINS))
+def test_argmin_oracle_pinned_bits(case):
+    (f, radius, n_samples, seed), dist_hex, best_hex = ORACLE_PINS[case]
+    best, dist = yc.argmin_oracle(np.array(f), radius, n_samples, seed)
+    assert dist.hex() == dist_hex
+    assert [[float(v).hex() for v in row] for row in best] == best_hex
+
+
 def test_projection_beats_oracle_samples():
     rng = np.random.default_rng(21)
     for k in range(20):
@@ -237,6 +283,21 @@ def per_sample_chart_suite(d, n_samples, seed):
 def test_chart_suite_matches_per_sample_loop(d):
     got = [r.max_violation for r in verify.chart_suite(d, 300, seed=1)]
     assert got == per_sample_chart_suite(d, 300, seed=1)  # bit for bit
+
+
+def test_oracle_suite_fails_on_a_nan_case(monkeypatch):
+    real = yc.argmin_oracle
+    calls = []
+
+    def nan_on_third_case(f, radius, n_samples, seed):
+        calls.append(seed)
+        best, dist = real(f, radius, n_samples, seed)
+        return best, (math.nan if len(calls) == 3 else dist)
+
+    monkeypatch.setattr(yc, "argmin_oracle", nan_on_third_case)
+    (res,) = verify.oracle_suite(5, 200, seed=2)
+    assert len(calls) == 5
+    assert math.isnan(res.max_violation) and not res.passed
 
 
 def vi_setups(n_setups, seed, d=2):
