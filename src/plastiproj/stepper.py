@@ -109,10 +109,6 @@ class ProblemSpec:
             raise ValueError("T / N must be > 0, but it underflows to 0")
 
     @property
-    def mode(self) -> str:
-        return "0d" if self.space is None else "fem"
-
-    @property
     def pts(self) -> np.ndarray:
         """The element centroids, or the single dummy point (0, 0) in 0d mode."""
         return np.zeros((1, 2)) if self.space is None else self.space.mesh.centroids
@@ -218,8 +214,10 @@ def time_average(fn, n, dt: float, pts: np.ndarray) -> np.ndarray:
     return (acc / QUAD_POINTS).reshape(ns.shape + vals.shape[2:])
 
 
-def _negative_g(t: float) -> ConfigError:
-    return ConfigError(f"field 'g': negative yield radius at t={t}")
+def _bad_g(t: float, g) -> ConfigError:
+    """The error for a yield radius g at time t that is negative or not finite."""
+    what = "negative" if np.any(np.less(g, 0.0)) else "non-finite"
+    return ConfigError(f"field 'g': {what} yield radius at t={t}")
 
 
 def _norm_overflow(n: int) -> RuntimeError:
@@ -290,21 +288,22 @@ class _Engine:
 
     def g_at(self, t: float | np.ndarray) -> np.ndarray:
         """g at one time, (k,), or at a 1-D array of times, (m, k); a
-        ConfigError names the first time where it is negative."""
+        ConfigError names the first time where it is negative or not finite."""
         g = np.asarray(self.spec.g(t, self.pts), dtype=float)
-        neg = g < 0.0
-        if neg.any():
-            raise _negative_g(t if np.ndim(t) == 0 else t[neg.any(axis=-1).argmax()])
+        # two reductions and no temporary; the min is NaN if any value is
+        if not (0.0 <= g.min() and g.max() < math.inf):
+            rows = g.reshape(np.size(t), -1)
+            k = (~((0.0 <= rows) & (rows < math.inf))).any(axis=-1).argmax()
+            raise _bad_g(np.reshape(t, -1)[k], rows[k])
         return g
 
     # -- momentum solve -----------------------------------------------------
 
-    def solve_momentum(self, solve, prev: SchemeState, n: int, load: np.ndarray,
-                       sigma_term: np.ndarray) -> np.ndarray:
-        """Velocity of step n from a factored step-matrix ``solve``."""
-        rhs = spmv(self.space.mass, prev.v) / self.spec.dt + load
-        rhs -= stress_load(self.space, sigma_term)
-        v = solve(np.where(self.mask, 0.0, rhs))
+    def solve_momentum(self, solve, base: np.ndarray, sigma_term: np.ndarray,
+                       n: int) -> np.ndarray:
+        """Velocity of step n from a factored step-matrix ``solve`` and the
+        step's right-hand side ``base`` = M v_{n-1}/dt + F_n."""
+        v = solve(np.where(self.mask, 0.0, base - stress_load(self.space, sigma_term)))
         if not np.all(np.isfinite(v)):
             raise RuntimeError(f"momentum solve at step {n} gave a non-finite velocity")
         return v
@@ -312,7 +311,7 @@ class _Engine:
 
 def initial_state(spec: ProblemSpec) -> SchemeState:
     eng = _Engine(spec)
-    if spec.mode == "fem":
+    if spec.space is not None:
         v0 = np.zeros(eng.mesh.n_dofs)
         if spec.v0 is not None:
             v0 = np.asarray(spec.v0(0.0, eng.mesh.nodes), dtype=float).reshape(-1)
@@ -349,6 +348,7 @@ def _step(prev: SchemeState, eng: _Engine, n: int, scheme: str) -> SchemeState:
     dt = eng.spec.dt
     t_n = n * dt
     h_n, p_n, g_n, load = eng.data(n)
+    base = spmv(eng.space.mass, prev.v) / dt + load
 
     def update(v):
         # trial stress sigma* = sigma_{n-1} + dt (E(v) + h_n) and its projection
@@ -361,15 +361,15 @@ def _step(prev: SchemeState, eng: _Engine, n: int, scheme: str) -> SchemeState:
             raise _norm_overflow(n) from None
 
     if scheme == "explicit":
-        v = eng.solve_momentum(eng.solve_visc, prev, n, load, prev.sigma)
+        v = eng.solve_momentum(eng.solve_visc, base, prev.sigma, n)
     else:
-        v = eng.solve_momentum(eng.solve_proj, prev, n, load, prev.sigma + dt * h_n)
+        v = eng.solve_momentum(eng.solve_proj, base, prev.sigma + dt * h_n, n)
     sigma_star, sigma = update(v)
     if scheme != "implicit":
         return SchemeState(n, t_n, v, sigma_star, sigma)
     last, grown = math.inf, 0
     for it in range(1, FP_MAX_ITER + 1):
-        v = eng.solve_momentum(eng.solve_visc, prev, n, load, sigma)
+        v = eng.solve_momentum(eng.solve_visc, base, sigma, n)
         sigma_star, sigma_next = update(v)
         dist = eng.space.stress_l2(sigma_next - sigma)
         sigma = sigma_next
@@ -439,8 +439,8 @@ def _recurrence(s: np.ndarray, dt: float, h: np.ndarray, p: np.ndarray, g: np.nd
     isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
     stars, sigmas = array("d"), array("d")
     for (h0, h1, h2), (p0, p1, p2), gn in zip(h.tolist(), p.tolist(), g.tolist()):
-        if gn < 0.0:
-            raise _negative_g(n * dt)
+        if not 0.0 <= gn < inf:
+            raise _bad_g(n * dt, gn)
         a0, a1, a2 = s0 + dt * h0, s1 + dt * h1, s2 + dt * h2
         if not (isfinite(a0) and isfinite(a1) and isfinite(a2)):
             raise RuntimeError(f"trial stress at step {n} is non-finite")

@@ -13,7 +13,7 @@ distances split coordinate-wise.  The chart covers all of R^{dxd}, not just
 symmetric matrices; symmetric inputs decompose with b_ij = b_ji.
 
 These charts back two independent checks of the closed-form projection in
-``tensor_core``:
+``tensor_core``, both on 2 x 2 matrices:
 
 * ``argmin_oracle`` samples the constraint set through the chart and
   verifies by brute force that no sample beats the projected point.
@@ -155,37 +155,25 @@ def argmin_oracle(
     return psi1(lam[best], 2) + psi2(x, 2), float(dist)
 
 
-def _chart_index(d: int) -> list[int]:
-    """For each chart coordinate, its index among the symmetric coordinates:
-    the d-1 diagonal coefficients, then one value per upper off-diagonal pair
-    (b_ij = b_ji)."""
-    upper = [(i, j) for i, j in _offdiag_pairs(d) if i < j]
-    return list(range(d - 1)) + [
-        d - 1 + upper.index((min(i, j), max(i, j))) for i, j in _offdiag_pairs(d)
-    ]
-
-
 def sample_constraint_set(
     rng: np.random.Generator, n: int, p: np.ndarray, g: float, lam_scale: float
 ) -> np.ndarray:
-    """n random symmetric witnesses tau with |(tau+p)^D| <= g, shape (n, d, d).
+    """n random symmetric witnesses tau with |(tau+p)^D| <= g for the 2 x 2
+    matrix p, shape (n, 2, 2).
 
     Sampled through the chart with paired off-diagonal coordinates
-    (b_ij = b_ji), then shifted by -p.
+    (b_01 = b_10), then shifted by -p.
     """
-    d = p.shape[-1]
-    # independent coordinates of the symmetric trace-free subspace
-    m = d * (d + 1) // 2 - 1
+    if p.shape != (2, 2):
+        raise ValueError(f"p must be a 2x2 matrix, got shape {p.shape}")
     lam = lam_scale * rng.standard_normal(n)
-    coords = rng.standard_normal((n, m))
-    # chart norm of a symmetric deviator with paired entries c: a-part counts
-    # once, each off-diagonal pair twice
-    weights = np.ones(m)
-    weights[d - 1 :] = 2.0
-    norms = np.sqrt((coords**2 * weights).sum(axis=1))
-    radii = g * rng.random(n) ** (1.0 / m)
+    # the symmetric trace-free coordinates (a, b): a counts once in the
+    # chart norm, the off-diagonal pair twice
+    coords = rng.standard_normal((n, 2))
+    norms = np.sqrt((coords**2 * np.array([1.0, 2.0])).sum(axis=1))
+    radii = g * rng.random(n) ** (1.0 / 2)
     c = coords * (radii / np.maximum(norms, 1e-300))[:, None]
-    return psi1(lam, d) + psi2(c[:, _chart_index(d)], d) - p
+    return psi1(lam, 2) + psi2(c[:, [0, 1, 1]], 2) - p
 
 
 def inclusion_equivalence_check(
@@ -201,7 +189,7 @@ def inclusion_equivalence_check(
     """Check the projected stress update against its variational inequality.
 
     sigma_b is computed by the projection formula from the trial stress
-    F = sigma_a + dt*(v_strain + h), all d x d matrices; returns the largest
+    F = sigma_a + dt*(v_strain + h), all 2 x 2 matrices; returns the largest
     value of (F - sigma_b, tau - sigma_b) over random witnesses tau in the
     shifted constraint set, which must be <= 0 up to roundoff.
     """

@@ -55,7 +55,7 @@ def read_csv(path):
 
 def test_parse_minimal_radial_config(tmp_path):
     cfg = cli.parse_config(write_config(tmp_path, "a.json"))
-    assert cfg.spec.mode == "0d"
+    assert cfg.spec.space is None
     assert cfg.spec.N == 10
     assert cfg.scheme == "projection"
     pts = np.zeros((1, 2))
@@ -339,6 +339,13 @@ def test_stability_requires_fem_and_dt_list(tmp_path):
     cfg = cli.parse_config(write_config(tmp_path, "a.json"))
     with pytest.raises(ConfigError, match="fem"):
         cli.cmd_stability(cfg, tmp_path / "out")
+
+
+def test_stability_on_a_0d_config_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path, "a.json", study={"dt_list": [0.5]})
+    assert cli.main(["stability", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: field 'mode': the stability study needs 'fem', got '0d'"]
 
 
 def test_stability_rest_state_rows_zero(tmp_path):
@@ -771,6 +778,24 @@ def test_negative_g_at_the_last_step_exits_two(tmp_path, capsys):
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "configuration error: field 'g': negative yield radius at t=0.9000000000000001"]
+
+
+@pytest.mark.parametrize("command", ["run", "convergence"])
+@pytest.mark.parametrize("overrides, t", [
+    # g(t) = 1e308 (1 + t) overflows from t = 0.875 of the 17-time grid on
+    ({"mode": "0d", "g": {"name": "linear_in_t", "params": {"base": 1e308, "slope": 1e308}}},
+     0.875),
+    # offset + amplitude * bump overflows at every time
+    ({"mode": "fem", "mesh": {"nx": 4, "ny": 4},
+      "g": {"name": "gaussian_bump_in_x", "params": {"amplitude": 1e308, "offset": 1e308}}},
+     0.0),
+], ids=["0d", "fem"])
+def test_non_finite_g_exits_two(tmp_path, capsys, command, overrides, t):
+    path = write_config(tmp_path, "inf_g.json", T=2.0, N=16,
+                        study={"dt_list": [0.5, 0.25], "ref_N": 16}, **overrides)
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: field 'g': non-finite yield radius at t={t}"]
 
 
 def test_diverging_implicit_run_exits_two(tmp_path, capsys):

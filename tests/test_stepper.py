@@ -65,10 +65,11 @@ def test_problem_spec_validation():
 
 def test_with_steps_shares_the_space():
     spec = small_fem_spec()
-    assert spec.mode == "fem"
+    assert spec.space is not None
     assert spec.with_steps(7).space is spec.space
     assert spec.with_steps(7).pts is spec.space.mesh.centroids
-    assert radial_0d_spec().mode == "0d"
+    assert radial_0d_spec().space is None
+    assert radial_0d_spec().with_steps(7).space is None
 
 
 def test_initial_state_rejects_infeasible_sigma0():
@@ -226,6 +227,27 @@ def test_negative_g_in_a_later_block_names_its_step():
         with pytest.raises(ConfigError) as err:
             run(bad)
         assert str(err.value) == f"field 'g': negative yield radius at t={first_bad * bad.dt}"
+
+
+def _g_spoiled_at(spec, step, value):
+    """``spec`` with g = 1, except ``value`` at t = step dt."""
+    t_bad = step * spec.dt
+
+    def g(t, pts):
+        out = np.ones(np.shape(t) + (len(pts),))
+        out[np.asarray(t) == t_bad] = value
+        return out
+    return replace(spec, g=g)
+
+
+@pytest.mark.parametrize("value, step", [(math.inf, 3), (math.nan, 5)], ids=["inf", "nan"])
+@pytest.mark.parametrize("make", [lambda: radial_0d_spec(n_steps=20), small_fem_spec],
+                         ids=["0d", "fem"])
+def test_non_finite_g_names_its_step(make, value, step):
+    spec = _g_spoiled_at(make(), step, value)
+    with pytest.raises(ConfigError) as err:
+        run(spec)
+    assert str(err.value) == f"field 'g': non-finite yield radius at t={step * spec.dt}"
 
 
 @pytest.mark.parametrize("offset", [7, 1], ids=["mid_block", "block_start"])
@@ -493,6 +515,18 @@ def test_implicit_agrees_with_projection_when_inactive():
     for sa, sb in zip(a.states, b.states):
         # both satisfy their own schemes; with dt = 0.1 they differ at O(dt^2)
         assert space.stress_l2(sa.sigma - sb.sigma) <= 5e-3
+
+
+def test_implicit_step_forms_its_right_hand_side_once(monkeypatch):
+    # M v_{n-1}/dt + F_n is the one mass spmv of a step; the Picard
+    # iterations reuse it
+    calls = []
+    spmv = stepper.spmv
+    monkeypatch.setattr(stepper, "spmv", lambda a, x: calls.append(1) or spmv(a, x))
+    spec = small_fem_spec()
+    traj = run(spec, "implicit")
+    assert traj.fp_iters.sum() >= spec.N
+    assert len(calls) == spec.N
 
 
 def test_per_step_feasibility_quick():
