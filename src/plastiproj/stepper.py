@@ -224,6 +224,13 @@ def _norm_overflow(n: int) -> RuntimeError:
     return RuntimeError(f"deviator norm of the trial stress at step {n} overflows")
 
 
+def _factor_step_matrix(a: SparseSym, visc: float):
+    try:
+        return factorized_solve(a)
+    except RuntimeError as exc:  # not positive definite
+        raise RuntimeError(f"step matrix M/dt + {visc!r} K: {exc}") from None
+
+
 class _Engine:
     """Per-run context: the spec's space, its sampling points and its step
     matrices.
@@ -248,7 +255,8 @@ class _Engine:
         # times the reciprocal, as the values of a / dt would differ in the last bit
         a = self.space.mass * (1.0 / self.spec.dt) + self.space.strain_stiff * visc
         a = apply_dirichlet(a, self.mask)
-        # else SuperLU reports an overflowed entry as an exactly singular factor
+        # else factoring blames an overflowed entry on the matrix: not positive
+        # definite (banded Cholesky) or exactly singular (SuperLU)
         if not np.isfinite(a.data).all():
             raise RuntimeError(f"step matrix M/dt + {visc!r} K overflows "
                                f"(nu={self.spec.nu!r}, dt={self.spec.dt!r})")
@@ -264,11 +272,11 @@ class _Engine:
 
     @cached_property
     def solve_proj(self):
-        return factorized_solve(self.a_proj)
+        return _factor_step_matrix(self.a_proj, self.spec.nu + self.spec.dt)
 
     @cached_property
     def solve_visc(self):
-        return factorized_solve(self.a_visc)
+        return _factor_step_matrix(self.a_visc, self.spec.nu)
 
     # -- data samples -------------------------------------------------------
 

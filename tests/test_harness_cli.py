@@ -1,16 +1,18 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import stack_states
 from hypothesis import example, given, settings, strategies as st
 
-from plastiproj import fem2d, stepper
+from plastiproj import fem2d, linalg, stepper
 from plastiproj import harness_cli as cli
 from plastiproj import tensor_core as tc
 from plastiproj.catalog import ConfigError
@@ -20,7 +22,12 @@ from plastiproj.verify import SuiteResult
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 # byte-exact outputs of configs/radial_0d.json and rich_fem.json, which the 0d and fem
-# paths must keep
+# paths must keep.  The fem goldens come in two sets, one per solver path of
+# linalg.factorized_solve: rich_fem_* from the banded Cholesky that its small mesh
+# selects, rich_fem_*_superlu.* from SuperLU with the band budget forced to 0.
+# The fem bits also pin the OpenBLAS kernel of the host that wrote them (SkylakeX, an
+# AVX-512 host): the bits of runs on 5x5 to 64x64 meshes differ between
+# OPENBLAS_CORETYPE=Haswell and SkylakeX
 GOLDEN = os.path.join(ROOT, "tests", "data")
 RADIAL_0D = os.path.join(ROOT, "configs", "radial_0d.json")
 # a fem config that uses every catalog function; its constraint is active from step 5
@@ -467,6 +474,80 @@ def test_rich_fem_study_matches_golden(tmp_path, command):
             == _golden(f"rich_fem_projection_{command}.csv"))
 
 
+RICH_FEM_GOLDENS = ["rich_fem_projection_norms.csv", "rich_fem_implicit_norms.csv",
+                    "rich_fem_explicit_norms.csv", "rich_fem_projection_snapshot_000008.vtk",
+                    "rich_fem_projection_stability.csv", "rich_fem_projection_convergence.csv"]
+
+
+def _rich_fem_outputs(tmp_path):
+    """The outputs of rich_fem.json that RICH_FEM_GOLDENS pin, by golden name."""
+    with open(RICH_FEM) as fh:
+        cfg = json.load(fh)
+    files = {}
+    for scheme in SCHEMES:
+        path = tmp_path / f"{scheme}.json"
+        path.write_text(json.dumps(dict(cfg, scheme=scheme)))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / scheme)]) == 0
+        files[f"rich_fem_{scheme}_norms.csv"] = tmp_path / scheme / "norms.csv"
+    files["rich_fem_projection_snapshot_000008.vtk"] = (
+        tmp_path / "projection" / "snapshot_000008.vtk")
+    for command in ("stability", "convergence"):
+        assert cli.main([command, "--config", RICH_FEM, "--out", str(tmp_path / command)]) == 0
+        files[f"rich_fem_projection_{command}.csv"] = tmp_path / command / f"{command}.csv"
+    return {name: files[name].read_bytes() for name in RICH_FEM_GOLDENS}
+
+
+def _superlu_name(name):
+    stem, ext = os.path.splitext(name)
+    return f"{stem}_superlu{ext}"
+
+
+def test_rich_fem_superlu_path_matches_its_goldens(tmp_path, monkeypatch):
+    monkeypatch.setattr(linalg, "BAND_BUDGET", 0)
+    for name, data in _rich_fem_outputs(tmp_path).items():
+        assert data == _golden(_superlu_name(name)), name
+
+
+def _numbers(data):
+    """Every number of a CSV body or a VTK file, in order, and a CSV's header."""
+    text = data.decode()
+    if text.startswith("# vtk"):
+        return None, np.array(re.findall(r"-?\d[\d.]*(?:e[-+]\d+)?", text), dtype=float)
+    lines = text.splitlines()
+    return lines[0].split(","), np.array([line.split(",") for line in lines[1:]], dtype=float)
+
+
+def test_rich_fem_banded_path_stays_near_the_superlu_goldens(tmp_path):
+    # the two factorizations round differently; every column keeps its value to
+    # 1e-13 relative, and yield_slack_min, zero where the constraint is active,
+    # to 1e-15 absolute
+    for name, data in _rich_fem_outputs(tmp_path).items():
+        header, got = _numbers(data)
+        _, want = _numbers(_golden(_superlu_name(name)))
+        assert got.shape == want.shape, name
+        if header is None:  # the VTK snapshot, against its largest entry
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+            continue
+        for k, column in enumerate(header):
+            err = np.abs(got[:, k] - want[:, k])
+            if column == "yield_slack_min":
+                assert err.max() <= 1e-15, (name, column)
+            else:
+                assert (err <= 1e-13 * np.abs(want[:, k])).all(), (name, column)
+
+
+def test_mesh_above_the_band_budget_keeps_the_superlu_bits(tmp_path):
+    # a 128x128 step matrix has bw 258: its band of 8.6M entries exceeds the budget,
+    # so the run keeps the bits of SuperLU
+    with open(os.path.join(ROOT, "configs", "unit_square.json")) as fh:
+        cfg = json.load(fh)
+    cfg.update(N=5, mesh=dict(cfg["mesh"], nx=128, ny=128), output={"vtk_stride": 0})
+    path = tmp_path / "unit_square_128.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "norms.csv").read_bytes() == _golden("unit_square_128_n5_norms.csv")
+
+
 def test_convergence_order_is_the_slope_over_the_step_ratio(tmp_path, monkeypatch):
     # errors equal to dt have order 1 whatever the ratio of successive steps
     path = write_config(tmp_path, "conv.json", study={"dt_list": [0.5, 0.1, 0.05],
@@ -674,6 +755,24 @@ def test_numerical_failure_exits_two_with_one_line(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.splitlines()[-1] == (
         "numerical failure: momentum solve at step 1 gave a non-finite velocity")
+
+
+def test_indefinite_step_matrix_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    step_matrix = stepper._Engine._step_matrix
+
+    def indefinite(self, visc):
+        # shifted past its least eigenvalue but not past its least diagonal entry,
+        # so only the factorization can tell
+        a = step_matrix(self, visc)
+        shift = 0.5 * (np.linalg.eigvalsh(a.toarray())[0] + a.diagonal().min())
+        return a - shift * sp.eye_array(a.shape[0], format="csr")
+
+    monkeypatch.setattr(stepper._Engine, "_step_matrix", indefinite)
+    assert cli.main(["run", "--config", RICH_FEM, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical failure: step matrix M/dt + 0.825 K: ")
+    assert "not positive definite" in err[0]
 
 
 def run_cli(*args):

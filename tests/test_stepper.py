@@ -660,6 +660,14 @@ def test_korn_constant_matches_dense_eigh(n):
     assert korn_constant(space) == pytest.approx(math.sqrt(lam[-1]), rel=1e-12, abs=0.0)
 
 
+def test_korn_constant_on_the_superlu_path(monkeypatch):
+    # the band budget forced to 0: K's shift-invert factor comes from SuperLU
+    space = FemSpace(build_rect_mesh(16, 16, 1.0, 1.0, "left"))
+    banded = FemSpace(space.mesh).korn
+    monkeypatch.setattr(linalg, "BAND_BUDGET", 0)
+    assert korn_constant(space) == pytest.approx(banded, rel=1e-12, abs=0.0)
+
+
 def test_energy_report_small_run():
     traj = run(small_fem_spec(N=8), "projection")
     rep = energy_report(traj)
