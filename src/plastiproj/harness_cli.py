@@ -182,7 +182,7 @@ def parse_config(path) -> RunConfig:
     spec = ProblemSpec(nu=nu, T=total_t, N=n_steps, space=space,
                        f=f_fn, h=h_fn, p=p_fn, g=g_fn, v0=v0_fn, sigma0=s0_fn)
 
-    # data validation: a finite g >= 0 on a t-sample grid, the initial stress feasible at t = 0
+    # data validation: a finite g >= 0 on a t-sample grid; at t = 0, finite data, feasible stress
     _Engine(spec).g_at(np.linspace(0.0, total_t, 17))
     initial_state(spec)
     return RunConfig(spec=spec, scheme=scheme, dt_list=dt_list, ref_n=ref_n, seed=seed,

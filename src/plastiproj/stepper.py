@@ -80,11 +80,11 @@ class ProblemSpec:
     the runs of a study share its mesh, matrices and cached factors.
 
     Every datum is a function of (t, pts), vectorized over the k points
-    ``pts``: f/v0 -> (k, 2), h/p/sigma0 -> (k, 3) packed tensors, g -> (k,);
-    ``initial_state`` calls v0 and sigma0 at t = 0.  f, h, p and g are
-    vectorized over time too: for a 1-D array t of m times each returns one
-    row per time, equal to the call at that scalar time.  A 0d run samples
-    its data that way, ``BLOCK_0D`` steps per call; a fem step its own step.
+    ``pts``: f/v0 -> (k, 2), h/p/sigma0 -> (k, 3) packed tensors, g -> (k,).
+    f, h, p and g are vectorized over time too: for a 1-D array t of m times
+    each returns one row per time, equal to the call at that scalar time.
+    ``_Engine.data`` samples and checks them, ``BLOCK_0D`` steps per call in
+    0d and one step in fem; ``initial_state`` checks v0 and sigma0 at t = 0.
     """
 
     nu: float
@@ -214,10 +214,19 @@ def time_average(fn, n, dt: float, pts: np.ndarray) -> np.ndarray:
     return (acc / QUAD_POINTS).reshape(ns.shape + vals.shape[2:])
 
 
-def _bad_g(t: float, g) -> ConfigError:
-    """The error for a yield radius g at time t that is negative or not finite."""
-    what = "negative" if np.any(np.less(g, 0.0)) else "non-finite"
-    return ConfigError(f"field 'g': {what} yield radius at t={t}")
+def _checked(field: str, t, x, lowest: float = -math.inf, noun: str = "value") -> np.ndarray:
+    """``x`` as floats: the samples of ``field`` at a time t, or one row per
+    time of a 1-D array t.  A ConfigError names the first time where a value
+    is below ``lowest`` ("negative") or not finite."""
+    x = np.asarray(x, dtype=float)
+    # two reductions and no temporary; the min is NaN if any value is
+    lo = x.min()
+    if not (lo >= lowest and math.isfinite(lo) and math.isfinite(x.max())):
+        rows = x.reshape(np.size(t), -1)
+        k = (~((lowest <= rows) & np.isfinite(rows))).any(axis=-1).argmax()
+        what = "negative" if np.less(rows[k], lowest).any() else "non-finite"
+        raise ConfigError(f"field {field!r}: {what} {noun} at t={np.reshape(t, -1)[k]}")
+    return x
 
 
 def _norm_overflow(n: int) -> RuntimeError:
@@ -232,8 +241,8 @@ def _factor_step_matrix(a: SparseSym, visc: float):
 
 
 class _Engine:
-    """Per-run context: the spec's space, its sampling points and its step
-    matrices.
+    """Per-run context: the spec's space, its sampling points, its step
+    matrices, and ``data``, the one checked sampler of the run's data.
 
     The step matrices and their factors are built on first use, so an
     engine made only for ``initial_state`` or the energy report assembles no
@@ -280,30 +289,27 @@ class _Engine:
 
     # -- data samples -------------------------------------------------------
 
-    def data(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def data(self, n: int | np.ndarray) -> tuple:
         """h_n, p(t_n), g(t_n) and the load (f_n, phi_i) for every dof (the
-        callers mask the constrained ones) of fem step n, one call of each
-        data function.  h_n and f_n are averages over (t_{n-1}, t_n).
-        """
+        callers mask the constrained ones) of step n, or a row per step of a
+        1-D array n; h_n and f_n average (t_{n-1}, t_n).  One checked call of
+        each datum; in 0d the load is None and f is not called."""
         spec, t = self.spec, n * self.spec.dt
-        h = time_average(spec.h, n, spec.dt, self.pts)
-        # g_at checks every step: t_N = N dt can pass the T that parse_config samples
+        h = _checked("h", t, time_average(spec.h, n, spec.dt, self.pts), noun="step average")
+        # every step is checked: t_N = N dt can pass the T that parse_config samples
         p, g = self.p_at(t), self.g_at(t)
-        return h, p, g, body_load(self.space, time_average(spec.f, n, spec.dt, self.pts))
+        if self.space is None:
+            return h, p, g, None
+        f = _checked("f", t, time_average(spec.f, n, spec.dt, self.pts), noun="step average")
+        return h, p, g, body_load(self.space, f)
 
-    def p_at(self, t: float) -> np.ndarray:
-        return np.asarray(self.spec.p(t, self.pts), dtype=float)
+    def p_at(self, t: float | np.ndarray) -> np.ndarray:
+        return _checked("p", t, self.spec.p(t, self.pts))
 
     def g_at(self, t: float | np.ndarray) -> np.ndarray:
         """g at one time, (k,), or at a 1-D array of times, (m, k); a
         ConfigError names the first time where it is negative or not finite."""
-        g = np.asarray(self.spec.g(t, self.pts), dtype=float)
-        # two reductions and no temporary; the min is NaN if any value is
-        if not (0.0 <= g.min() and g.max() < math.inf):
-            rows = g.reshape(np.size(t), -1)
-            k = (~((0.0 <= rows) & (rows < math.inf))).any(axis=-1).argmax()
-            raise _bad_g(np.reshape(t, -1)[k], rows[k])
-        return g
+        return _checked("g", t, self.spec.g(t, self.pts), 0.0, "yield radius")
 
     # -- momentum solve -----------------------------------------------------
 
@@ -322,12 +328,12 @@ def initial_state(spec: ProblemSpec) -> SchemeState:
     if spec.space is not None:
         v0 = np.zeros(eng.mesh.n_dofs)
         if spec.v0 is not None:
-            v0 = np.asarray(spec.v0(0.0, eng.mesh.nodes), dtype=float).reshape(-1)
+            v0 = _checked("v0", 0.0, spec.v0(0.0, eng.mesh.nodes)).reshape(-1)
         v0 = np.where(eng.mask, 0.0, v0)
     else:
         v0 = None
     if spec.sigma0 is not None:
-        s0 = np.asarray(spec.sigma0(0.0, eng.pts), dtype=float).reshape(len(eng.pts), 3)
+        s0 = _checked("sigma0", 0.0, spec.sigma0(0.0, eng.pts)).reshape(len(eng.pts), 3)
     else:
         s0 = np.zeros((len(eng.pts), 3))
     g0 = eng.g_at(0.0)
@@ -411,23 +417,19 @@ def _run_0d(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     Step n projects sigma*_n = sigma_{n-1} + dt h_n with the operations of
     ``tc.project_constraint_arr`` in its order, so every value, signed zeros
     included, is bit for bit the array kernel's.  Every scheme is that step;
-    the implicit fixed point is reached at once.  The data are sampled
-    ``BLOCK_0D`` steps at a time, one call of h, p and g per block, and each
-    block is stepped by ``_recurrence`` straight into the columns.
+    the implicit fixed point is reached at once.  ``_Engine.data`` samples
+    and checks a block of ``BLOCK_0D`` steps, one call of h, p and g, before
+    ``_recurrence`` steps the block straight into the columns.
     """
-    dt, pts = spec.dt, spec.pts
+    eng = _Engine(spec)
     sigma = np.empty((spec.N + 1, 1, 3))
     sigma_star = np.empty_like(sigma)
     first = initial_state(spec)
     sigma[0], sigma_star[0] = first.sigma, first.sigma_star
     for n in range(1, spec.N + 1, BLOCK_0D):
         stop = min(n + BLOCK_0D, spec.N + 1)
-        ns = np.arange(n, stop)
-        t = ns * dt
-        h = time_average(spec.h, ns, dt, pts)[:, 0]
-        p = np.asarray(spec.p(t, pts), dtype=float)[:, 0]
-        g = np.asarray(spec.g(t, pts), dtype=float)[:, 0]
-        stars, sigmas = _recurrence(sigma[n - 1, 0], dt, h, p, g, n)
+        h, p, g, _ = eng.data(np.arange(n, stop))
+        stars, sigmas = _recurrence(sigma[n - 1, 0], spec.dt, h[:, 0], p[:, 0], g[:, 0], n)
         sigma_star[n:stop, 0] = np.frombuffer(stars).reshape(-1, 3)
         sigma[n:stop, 0] = np.frombuffer(sigmas).reshape(-1, 3)
     return sigma, sigma_star
@@ -447,8 +449,6 @@ def _recurrence(s: np.ndarray, dt: float, h: np.ndarray, p: np.ndarray, g: np.nd
     isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
     stars, sigmas = array("d"), array("d")
     for (h0, h1, h2), (p0, p1, p2), gn in zip(h.tolist(), p.tolist(), g.tolist()):
-        if not 0.0 <= gn < inf:
-            raise _bad_g(n * dt, gn)
         a0, a1, a2 = s0 + dt * h0, s1 + dt * h1, s2 + dt * h2
         if not (isfinite(a0) and isfinite(a1) and isfinite(a2)):
             raise RuntimeError(f"trial stress at step {n} is non-finite")

@@ -454,6 +454,7 @@ def test_radial_0d_convergence_matches_golden(tmp_path):
             == _golden("radial_0d_projection_convergence.csv"))
 
 
+@pytest.mark.blas_bits
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_rich_fem_run_matches_golden_norms(tmp_path, scheme):
     with open(RICH_FEM) as fh:
@@ -467,6 +468,7 @@ def test_rich_fem_run_matches_golden_norms(tmp_path, scheme):
                 == _golden("rich_fem_projection_snapshot_000008.vtk"))
 
 
+@pytest.mark.blas_bits
 @pytest.mark.parametrize("command", ["stability", "convergence"])
 def test_rich_fem_study_matches_golden(tmp_path, command):
     assert cli.main([command, "--config", RICH_FEM, "--out", str(tmp_path / "o")]) == 0
@@ -502,6 +504,7 @@ def _superlu_name(name):
     return f"{stem}_superlu{ext}"
 
 
+@pytest.mark.blas_bits
 def test_rich_fem_superlu_path_matches_its_goldens(tmp_path, monkeypatch):
     monkeypatch.setattr(linalg, "BAND_BUDGET", 0)
     for name, data in _rich_fem_outputs(tmp_path).items():
@@ -536,6 +539,7 @@ def test_rich_fem_banded_path_stays_near_the_superlu_goldens(tmp_path):
                 assert (err <= 1e-13 * np.abs(want[:, k])).all(), (name, column)
 
 
+@pytest.mark.blas_bits
 def test_mesh_above_the_band_budget_keeps_the_superlu_bits(tmp_path):
     # a 128x128 step matrix has bw 258: its band of 8.6M entries exceeds the budget,
     # so the run keeps the bits of SuperLU
@@ -743,13 +747,14 @@ def test_memory_error_exits_two_with_one_line(tmp_path, capsys, monkeypatch, err
     assert capsys.readouterr().err.splitlines() == [line]
 
 
+# finite data whose momentum solve overflows: the step average of h is 4e307,
+# and with dt = 8 the stress term sigma_0 + dt h_1 of the equation is not finite
+SOLVE_OVERFLOW = {"mode": "fem", "T": 24.0, "N": 3, "mesh": {"nx": 2, "ny": 2},
+                  "h": {"name": "constant", "params": {"value": [4e307, 0.0, 4e307]}}}
+
+
 def test_numerical_failure_exits_two_with_one_line(tmp_path, capsys):
-    path = write_config(
-        tmp_path, "huge.json", mode="fem", N=3,
-        mesh={"nx": 2, "ny": 2},
-        f={"name": "constant", "params": {"value": [0.0, 1e308]}},
-        h={"name": "constant", "params": {}},
-    )
+    path = write_config(tmp_path, "huge.json", **SOLVE_OVERFLOW)
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -787,13 +792,9 @@ def run_cli(*args):
 
 
 @pytest.mark.parametrize("overrides, message", [
-    ({"mode": "fem", "N": 3, "mesh": {"nx": 2, "ny": 2},
-      "f": {"name": "constant", "params": {"value": [0.0, 1e308]}},
-      "h": {"name": "constant", "params": {}}},
-     "momentum solve at step 1 gave a non-finite velocity"),
-    ({"N": 3, "h": {"name": "constant", "params": {"value": [1e308, 0.0, -1e308]}},
-      "g": {"name": "constant", "params": {"value": 1e308}}},
-     "trial stress at step 1 is non-finite"),
+    (SOLVE_OVERFLOW, "momentum solve at step 1 gave a non-finite velocity"),
+    # the same h in 0d: sigma*_1 = dt h_1 overflows
+    ({**SOLVE_OVERFLOW, "mode": "0d"}, "trial stress at step 1 is non-finite"),
     # a finite trial stress whose deviator norm overflows: scaled by g / inf
     # it would collapse to its spherical part
     ({"N": 4, "h": {"name": "linear_in_t", "params": {"slope": [1e155, 0.0, -1e155]}},
@@ -877,6 +878,52 @@ def test_negative_g_at_the_last_step_exits_two(tmp_path, capsys):
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "configuration error: field 'g': negative yield radius at t=0.9000000000000001"]
+
+
+LINEAR_1E308 = {"name": "linear_in_t", "params": {"slope": [1e308, 0.0, 1e308]}}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # the 4-point sums of finite values overflow, so the step averages are not finite
+    ({"mode": "fem", "mesh": {"nx": 2, "ny": 2},
+      "f": {"name": "constant", "params": {"value": [0.0, 1e308]}}},
+     "field 'f': non-finite step average at t=0.1"),
+    ({"mode": "fem", "mesh": {"nx": 2, "ny": 2},
+      "h": {"name": "constant", "params": {"value": [1e308, 0.0, -1e308]}}},
+     "field 'h': non-finite step average at t=0.1"),
+    # dt = 0.25: the midpoints of step 3 sum to 2.5e308, those of step 2 to 1.5e308
+    ({"T": 2.0, "N": 8, "h": LINEAR_1E308}, "field 'h': non-finite step average at t=0.75"),
+    # p(t) = 1e308 t (1, 0, 1) is finite at t = 0 and overflows at t_1 = 2
+    ({"mode": "fem", "mesh": {"nx": 2, "ny": 2}, "T": 2.0, "N": 1, "p": LINEAR_1E308},
+     "field 'p': non-finite value at t=2.0"),
+    # the grid of configs/radial_0d.json: a block is checked before its steps, so the
+    # overflow of p from t = 1.798 is reported before the trial stress overflows at
+    # step 900
+    ({"T": 2.0, "N": 2000, "p": LINEAR_1E308}, "field 'p': non-finite value at t=1.798"),
+], ids=["fem_f", "fem_h", "0d_h", "fem_p", "0d_p"])
+def test_non_finite_datum_exits_two_naming_it(tmp_path, capsys, overrides, message):
+    path = write_config(tmp_path, "inf.json", **overrides)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"configuration error: {message}"]
+    assert not (tmp_path / "o" / "norms.csv").exists()
+
+
+@pytest.mark.parametrize("mode, field", [("fem", "v0"), ("fem", "sigma0"), ("0d", "sigma0")])
+def test_non_finite_initial_value_exits_two_naming_it(tmp_path, capsys, monkeypatch, mode,
+                                                      field):
+    # no catalog function is non-finite at t = 0, so the built one is spoiled
+    build = cli._build_fn
+
+    def spoiled(cfg, key, role):
+        fn = build(cfg, key, role)
+        return (lambda t, pts: np.full_like(fn(t, pts), np.nan)) if key == field else fn
+
+    monkeypatch.setattr(cli, "_build_fn", spoiled)
+    path = write_config(tmp_path, "nan.json", mode=mode, mesh={"nx": 2, "ny": 2},
+                        **{field: {"name": "constant", "params": {}}})
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: field {field!r}: non-finite value at t=0.0"]
 
 
 @pytest.mark.parametrize("command", ["run", "convergence"])

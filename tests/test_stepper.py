@@ -250,22 +250,73 @@ def test_non_finite_g_names_its_step(make, value, step):
     assert str(err.value) == f"field 'g': non-finite yield radius at t={step * spec.dt}"
 
 
+def _h_after(spec, step, value):
+    """``spec`` with h = value (1, 0, 1) at every time past t_{step - 1}: at
+    every midpoint of step ``step`` and of the steps after it, and at none before."""
+    t0, h = (step - 1) * spec.dt, spec.h
+
+    def after(t, pts):
+        late = np.reshape(np.asarray(t) > t0, np.shape(t) + (1, 1))
+        return np.where(late, value * np.array([1.0, 0.0, 1.0]), h(t, pts))
+    return replace(spec, h=after)
+
+
+def _later_block_spec(dt):
+    """The radial drive over three 0d blocks with step ``dt`` and g = 1e9."""
+    block = stepper.BLOCK_0D
+    return replace(radial_0d_spec(n_steps=1, total_time=1.0), N=3 * block, T=dt * 3 * block,
+                   g=data_fn("scalar", "constant", Fields({"value": 1e9}, "params")))
+
+
 @pytest.mark.parametrize("offset", [7, 1], ids=["mid_block", "block_start"])
 def test_non_finite_trial_stress_in_a_later_block_names_its_step(offset):
-    spec = radial_0d_spec(n_steps=1, total_time=1.0)
-    block = stepper.BLOCK_0D
-    spec = replace(spec, N=3 * block, T=3.0 * block)  # dt = 1
-    first_bad = 2 * block + offset
-    radial = spec.h
-
-    # every midpoint of step first_bad lies past t_{first_bad - 1}, none before it
-    def h(t, pts):
-        nan = np.where(np.asarray(t) > first_bad - 1.0, np.nan, 1.0)
-        return radial(t, pts) * np.reshape(nan, np.shape(t) + (1, 1))
-
+    # finite data: the step average of h is 4e307, but dt h overflows with dt = 8
+    spec = _later_block_spec(8.0)
+    first_bad = 2 * stepper.BLOCK_0D + offset
     with pytest.raises(RuntimeError) as err:
-        run(replace(spec, g=data_fn("scalar", "constant", Fields({"value": 1e9}, "params")), h=h))
+        run(_h_after(spec, first_bad, 4e307))
     assert str(err.value) == f"trial stress at step {first_bad} is non-finite"
+
+
+@pytest.mark.parametrize("offset", [7, 1], ids=["mid_block", "block_start"])
+@pytest.mark.parametrize("field", ["h", "p"])
+def test_non_finite_datum_in_a_later_block_names_its_time(field, offset):
+    spec = _later_block_spec(1.0)
+    first_bad = 2 * stepper.BLOCK_0D + offset
+    if field == "h":
+        bad, what = _h_after(spec, first_bad, math.nan), "step average"
+    else:
+        bad = replace(spec, p=lambda t, pts: np.where(
+            np.reshape(t, np.shape(t) + (1, 1)) > first_bad - 0.5, math.nan,
+            np.zeros(np.shape(t) + (len(pts), 3))))
+        what = "value"
+    with pytest.raises(ConfigError) as err:
+        run(bad)
+    assert str(err.value) == f"field {field!r}: non-finite {what} at t={first_bad * spec.dt}"
+
+
+def test_0d_block_reports_its_data_before_stepping():
+    # in one block, dt h overflows at step k, and h is NaN from step k + 13: the
+    # block's data are checked before any of its steps, so h is reported
+    spec = _later_block_spec(8.0)
+    k = 2 * stepper.BLOCK_0D + 7
+    with pytest.raises(ConfigError) as err:
+        run(_h_after(_h_after(spec, k, 4e307), k + 13, math.nan))
+    assert str(err.value) == f"field 'h': non-finite step average at t={(k + 13) * spec.dt}"
+
+
+@pytest.mark.parametrize("field, what", [("f", "step average"), ("h", "step average"),
+                                         ("p", "value")], ids=["f", "h", "p"])
+def test_non_finite_fem_datum_names_its_step_time(field, what):
+    # every sample past t = 0.55 is NaN, so step 6 is the first to read one
+    spec = small_fem_spec()
+    width = {"f": 2, "h": 3, "p": 3}[field]
+    nan_late = lambda t, pts: np.where(
+        np.reshape(t, np.shape(t) + (1, 1)) > 0.55, np.nan,
+        np.zeros(np.shape(t) + (len(pts), width)))
+    with pytest.raises(ConfigError) as err:
+        run(replace(spec, **{field: nan_late}))
+    assert str(err.value) == f"field {field!r}: non-finite {what} at t={6 * spec.dt}"
 
 
 def test_time_average_validation():
@@ -491,11 +542,13 @@ def test_projection_run_factors_one_matrix(monkeypatch):
 
 
 def test_non_finite_momentum_solve_names_the_step():
-    nan_after_half = lambda t, pts: np.where(
-        np.reshape(t, np.shape(t) + (1, 1)) > 0.5, np.nan,
-        np.zeros(np.shape(t) + (len(pts), 2)))
-    with pytest.raises(RuntimeError, match="step 6 gave a non-finite velocity"):
-        run(small_fem_spec(f=nan_after_half), "projection")
+    # finite data: from step 6 the step average of h is 4e307, and with dt = 8
+    # the stress term sigma_5 + dt h_6 of the momentum equation overflows
+    spec = _h_after(small_fem_spec(T=80.0), 6, 4e307)
+    # numpy's overflow warnings silenced, as the CLI does: the error reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="step 6 gave a non-finite velocity"):
+            run(spec, "projection")
 
 
 def test_unknown_scheme_rejected():
