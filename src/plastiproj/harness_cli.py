@@ -8,9 +8,10 @@ written or memory that runs out.
 Configs are JSON; every data function is referenced by catalog name plus
 parameters so a run is reproducible from the file alone.  Every config
 object is read through ``catalog.Fields``.  CSV layouts are frozen and
-documented in the README; every cell is checked finite before a table is
-written and formatted with %.17g, so repeated runs with the same config are
-byte-identical.
+documented in the README.  Every cell but verify.csv's ``max_violation``,
+which is NaN for a suite that computes NaN (see the README), is checked
+finite before its table is written; floats are formatted with %.17g, so
+repeated runs with the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .stepper import (
     Trajectory,
     _check_nested,
     _Engine,
+    _quad_forms,
     convergence_errors,
     discrete_norms,
     energy_report,
@@ -43,29 +45,23 @@ from .stepper import (
     run,
 )
 
-_FMT = "%.17g"
-
 # the sample counts a config's ``verify`` block may set, each >= 1
 VERIFY_COUNTS = ("n_samples", "n_oracle_cases", "oracle_samples", "n_vi_setups",
                  "n_vi_witnesses")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return _FMT % float(x)
-
-
-def _write_csv(path, rows: list[dict]) -> None:
-    """A CSV with the keys of the row dicts as its header."""
+def _write_csv(path, columns: dict) -> None:
+    """A CSV of the equal-length ``columns`` under their keys, each formatted by its
+    dtype: text as it is, integers and booleans as integers, floats as %.17g."""
+    cols = [np.asarray(col) for col in columns.values()]
+    row = ",".join({"f": "%.17g", "b": "%d"}.get(col.dtype.kind, "%s") for col in cols) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(rows[0]) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(map(row.__mod__, zip(*(col.tolist() for col in cols))))
+
+
+def _columns(rows: list[dict]) -> dict:
+    return {key: [row[key] for row in rows] for key in rows[0]}
 
 
 # -- configuration -------------------------------------------------------------
@@ -192,8 +188,9 @@ def parse_config(path) -> RunConfig:
 # -- study drivers --------------------------------------------------------------
 
 
-def _slack_min(eng: _Engine, sigma: np.ndarray, t: float) -> float:
-    return float(tc.yield_slack_arr(sigma, eng.p_at(t), eng.g_at(t)).min())
+def _slack_min(eng: _Engine, sigma: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The least yield slack of each state of ``sigma`` (m, k, 3) at its time of ``t`` (m,)."""
+    return tc.yield_slack_arr(sigma, eng.p_at(t), eng.g_at(t)).min(axis=-1)
 
 
 def _finite_row(row: dict, where: str) -> dict:
@@ -217,25 +214,26 @@ def cmd_run(cfg: RunConfig, out_dir) -> Trajectory:
     os.makedirs(out_dir, exist_ok=True)
     traj = run(cfg.spec, cfg.scheme)
     _warn_unconverged(traj)
-    eng = _Engine(cfg.spec)
-    rows = []
-    for n in range(traj.spec.N + 1):
-        sigma = traj.sigma[n]
-        if traj.space is not None:
-            v_l2 = traj.space.l2_norm(traj.v[n])
-            s_l2 = traj.space.stress_l2(sigma)
-        else:
-            v_l2 = 0.0
-            s_l2 = float(np.sqrt(tc.frob_inner_arr(sigma, sigma).sum()))
-        t = n * traj.spec.dt
-        row = {"n": n, "t": t, "v_l2": v_l2, "sigma_l2": s_l2,
-               "yield_slack_min": _slack_min(eng, sigma, t),
-               # the frozen cg_iters column: the factored solve makes no iterations
-               "cg_iters": 0}
-        rows.append(_finite_row(row, f"step {n}"))
-        if cfg.vtk_stride > 0 and traj.mesh is not None and n % cfg.vtk_stride == 0:
-            write_vtk(os.path.join(out_dir, f"snapshot_{n:06d}.vtk"), traj.mesh, traj.v[n], sigma)
-    _write_csv(os.path.join(out_dir, "norms.csv"), rows)
+    eng, space, n = _Engine(cfg.spec), traj.space, np.arange(traj.spec.N + 1)
+    areas = np.ones(1) if space is None else space.mesh.areas
+    t, (v_l2, sigma_l2, slack) = n * traj.spec.dt, np.zeros((3, len(n)))
+    for rows in traj.row_chunks():
+        s = traj.sigma[rows]
+        sigma_l2[rows] = np.sqrt(np.maximum((areas * tc.frob_inner_arr(s, s)).sum(-1), 0.0))
+        if space is not None:
+            v_l2[rows] = np.sqrt(np.maximum(_quad_forms(space.mass, traj.v[rows]), 0.0))
+        slack[rows] = _slack_min(eng, s, t[rows])
+    # the frozen cg_iters column: the factored solve makes no iterations
+    table = {"n": n, "t": t, "v_l2": v_l2, "sigma_l2": sigma_l2, "yield_slack_min": slack,
+             "cg_iters": np.zeros_like(n)}
+    bad = np.flatnonzero(~np.isfinite([t, v_l2, sigma_l2, slack]).all(axis=0))
+    if len(bad):
+        _finite_row({key: col[bad[0]] for key, col in table.items()}, f"step {bad[0]}")
+    _write_csv(os.path.join(out_dir, "norms.csv"), table)
+    if cfg.vtk_stride > 0 and traj.mesh is not None:
+        for k in range(0, len(n), cfg.vtk_stride):
+            write_vtk(os.path.join(out_dir, f"snapshot_{k:06d}.vtk"), traj.mesh, traj.v[k],
+                      traj.sigma[k])
     return traj
 
 
@@ -256,7 +254,7 @@ def cmd_stability(cfg: RunConfig, out_dir) -> list[dict]:
             {"dt": spec.dt, "N": n, **discrete_norms(traj).as_dict(),
              "energy_lhs_max": float(en.lhs.max()), "energy_rhs": en.rhs, "energy_ok": en.ok},
             f"dt={dt}"))
-    _write_csv(os.path.join(out_dir, "stability.csv"), rows)
+    _write_csv(os.path.join(out_dir, "stability.csv"), _columns(rows))
     return rows
 
 
@@ -287,7 +285,7 @@ def cmd_convergence(cfg: RunConfig, out_dir) -> list[dict]:
                                               / math.log2(n / prev["N"]))
         rows.append(_finite_row({"N": n, "dt": cfg.spec.T / n, **errs, **orders}, f"N={n}"))
         prev = rows[-1]
-    _write_csv(os.path.join(out_dir, "convergence.csv"), rows)
+    _write_csv(os.path.join(out_dir, "convergence.csv"), _columns(rows))
     return rows
 
 
@@ -305,20 +303,17 @@ def explicit_demo_report() -> dict:
 def cmd_verify(cfg: RunConfig, out_dir) -> int:
     os.makedirs(out_dir, exist_ok=True)
     results = verify_mod.run_all(**cfg.verify_params, seed=cfg.seed)
-    rows = []
-    failed = False
     for res in results:
         # a negative tolerance can never pass; it falls through as a failure
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.name}: max violation {res.max_violation:.3e} (tol {res.tol:.1e})")
-        rows.append({"suite": res.name, "max_violation": res.max_violation, "tol": res.tol,
-                     "passed": res.passed})
-        failed = failed or not res.passed
     demo = explicit_demo_report()
     print(f"INFO explicit_blowup_demo (non-gating): velocity growth factor "
           f"{demo['growth']:.3e} over one run")
-    _write_csv(os.path.join(out_dir, "verify.csv"), rows)
-    return 1 if failed else 0
+    _write_csv(os.path.join(out_dir, "verify.csv"), _columns([
+        {"suite": r.name, "max_violation": r.max_violation, "tol": r.tol, "passed": r.passed}
+        for r in results]))
+    return 0 if all(r.passed for r in results) else 1
 
 
 # -- entry point -----------------------------------------------------------------

@@ -64,8 +64,8 @@ FP_MAX_ITER = 200
 # many consecutive iterations: the Picard map does not contract there
 FP_GROWTH_LIMIT = 10
 
-# floats (256 KB) that a block of sampled 0d steps, or a chunk of stacked
-# nodes in convergence_errors, may hold: as many as fit and at least one
+# floats (256 KB) that a block of sampled 0d steps, or a chunk of trajectory
+# rows (convergence_errors, norms.csv), may hold: as many as fit and at least one
 SAMPLE_BUDGET = 2**15
 # midpoints per step of the time averages of f and h
 QUAD_POINTS = 4
@@ -176,6 +176,12 @@ class Trajectory:
 
     def v_series(self) -> np.ndarray | None:
         return self.v
+
+    def row_chunks(self) -> list[slice]:
+        """The rows in consecutive chunks of at most SAMPLE_BUDGET floats, or of one row."""
+        per_row = self.sigma[0].size + (0 if self.v is None else self.v.shape[1])
+        step = max(1, SAMPLE_BUDGET // per_row)
+        return [slice(j, min(j + step, len(self.sigma))) for j in range(0, len(self.sigma), step)]
 
 
 @dataclass
@@ -591,15 +597,13 @@ def convergence_errors(ref: Trajectory, coarse: Trajectory) -> dict[str, float]:
     stride = n_ref // n_c
     space = ref.space
     areas = np.ones(1) if space is None else space.mesh.areas
-    n_dofs = 0 if space is None else space.mesh.n_dofs
-    chunk = max(1, SAMPLE_BUDGET // (3 * len(areas) + n_dofs))
     sig_sq = v_sq = l2v_sq = 0.0
-    for j0 in range(0, n_ref + 1, chunk):
-        j = np.arange(j0, min(j0 + chunk, n_ref + 1))
+    for rs in ref.row_chunks():
+        j = np.arange(rs.start, rs.stop)
         k = np.minimum(j // stride, n_c - 1)
         w = (j - k * stride) / stride
         i = k - k[0]  # row of coarse node k in the chunk's coarse stack
-        cs, rs = slice(k[0], k[-1] + 2), slice(j0, j[-1] + 1)
+        cs = slice(k[0], k[-1] + 2)
         d = _hat_minus(coarse.sigma[cs], ref.sigma[rs], i, w)
         sig_sq = max(sig_sq, (areas * tc.frob_inner_arr(d, d)).sum(axis=-1).max())
         if space is None:

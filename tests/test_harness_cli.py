@@ -671,6 +671,84 @@ def test_convergence_errors_sees_the_last_reference_node(tmp_path):
     assert got == per_node_errors(ref, coarse)
 
 
+# p and g that move with t, so that each row's slack depends on its own time
+LINEAR_P_G = {"p": {"name": "linear_in_t", "params": {"slope": [0.1, 0.05, -0.2]}},
+              "g": {"name": "linear_in_t", "params": {"base": 0.5, "slope": 0.3}}}
+
+
+def per_row_sigma_l2(traj, n):
+    if traj.space is None:
+        return float(np.sqrt(tc.frob_inner_arr(traj.sigma[n], traj.sigma[n]).sum()))
+    return traj.space.stress_l2(traj.sigma[n])
+
+
+def per_row_norms(traj):
+    """norms.csv built one row at a time: p and g sampled at each row's scalar time."""
+    eng = stepper._Engine(traj.spec)
+    lines = ["n,t,v_l2,sigma_l2,yield_slack_min,cg_iters"]
+    for n in range(traj.spec.N + 1):
+        t = n * traj.spec.dt
+        v_l2 = 0.0 if traj.space is None else traj.space.l2_norm(traj.v[n])
+        slack = tc.yield_slack_arr(traj.sigma[n], eng.p_at(t), eng.g_at(t)).min()
+        cells = [t, v_l2, per_row_sigma_l2(traj, n), slack]
+        lines.append(",".join([str(n), *("%.17g" % x for x in cells), "0"]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("overrides, chunks", [
+    ({"N": 30_000, **LINEAR_P_G}, 3),
+    ({**FEM_4X4, "N": 500, **LINEAR_P_G}, 2),
+], ids=["0d", "fem4x4"])
+def test_run_norms_match_a_per_row_reference_across_chunks(tmp_path, overrides, chunks):
+    cfg = cli.parse_config(write_config(tmp_path, "c.json", **overrides))
+    traj = cli.cmd_run(cfg, tmp_path / "out")
+    assert len(traj.row_chunks()) >= chunks
+    got, want = (tmp_path / "out" / "norms.csv").read_text(), per_row_norms(traj)
+    same = got == want  # a bool, as pytest's diff of two long texts takes minutes
+    assert same, next(p for p in zip(got.splitlines(), want.splitlines()) if p[0] != p[1])
+
+
+def test_run_samples_p_and_g_once_per_chunk(tmp_path):
+    cfg = cli.parse_config(write_config(tmp_path, "c.json", N=10_000))
+    calls = {"p": 0, "g": 0}
+
+    def counted(role, fn):
+        def wrapper(t, pts):
+            calls[role] += 1
+            return fn(t, pts)
+        return wrapper
+
+    for role in calls:
+        setattr(cfg.spec, role, counted(role, getattr(cfg.spec, role)))
+    cli.cmd_run(cfg, tmp_path / "out")
+    # per datum: the initial state, one call per block of the run and one per
+    # chunk of norms.csv rows, each of 3 floats in 0d
+    blocks = -(-cfg.spec.N // stepper.BLOCK_0D)
+    chunks = -(-(cfg.spec.N + 1) // (stepper.SAMPLE_BUDGET // 3))
+    assert max(calls.values()) <= 1 + blocks + chunks, calls
+
+
+@pytest.mark.parametrize("overrides", [
+    {"N": 12_000},
+    # every side clamped, so v = 0 and only sigma grows; a snapshot per step
+    {"mode": "fem", "N": 1000, "output": {"vtk_stride": 1},
+     "mesh": {"nx": 2, "ny": 2, "gamma1": ["left", "right", "top", "bottom"]}},
+], ids=["0d", "fem"])
+def test_non_finite_cell_in_a_later_chunk_writes_nothing(tmp_path, overrides):
+    # a spherical h whose stress grows as t^2 until its squared norm overflows
+    path = write_config(tmp_path, "late.json", **overrides,
+                        h={"name": "linear_in_t", "params": {"slope": [2.2e154, 0.0, 2.2e154]}})
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = run(cli.parse_config(path).spec)
+        bad = [n for n in range(traj.spec.N + 1) if not math.isfinite(per_row_sigma_l2(traj, n))]
+    assert bad[0] >= traj.row_chunks()[1].start
+    out = tmp_path / "o"
+    proc = run_cli("run", "--config", str(path), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"numerical failure: non-finite sigma_l2 at step {bad[0]}"]
+    assert list(out.iterdir()) == []
+
+
 # -- verify and exit codes ----------------------------------------------------------
 
 

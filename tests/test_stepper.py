@@ -685,6 +685,17 @@ def test_discrete_norms_scaling():
         assert rep2.as_dict()[key] == pytest.approx(factor * val, rel=1e-10)
 
 
+@pytest.mark.parametrize("matrix", ["mass", "h1_gram"])
+def test_quad_forms_match_the_per_row_product_bit_for_bit(matrix):
+    # the v_l2 column of norms.csv and the velocity errors of convergence_errors
+    # rely on these bits, which a matrix-times-block product need not keep
+    space = FemSpace(build_rect_mesh(16, 16, 1.0, 1.0, ("left",)))
+    a = getattr(space, matrix)
+    d = np.random.default_rng(3).standard_normal((9, space.mesh.n_dofs))
+    want = np.array([u @ linalg.spmv(a, u) for u in d])
+    np.testing.assert_array_equal(stepper._quad_forms(a, d), want)
+
+
 def test_discrete_norms_requires_fem():
     traj = run(radial_0d_spec(n_steps=4, total_time=0.4))
     with pytest.raises(ValueError):
