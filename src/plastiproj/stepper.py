@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor_core as tc
-from .catalog import ConfigError
+from .catalog import ConfigError, is_steady
 from .fem2d import (
     FemSpace,
     Mesh2D,
@@ -83,8 +83,10 @@ class ProblemSpec:
     ``pts``: f/v0 -> (k, 2), h/p/sigma0 -> (k, 3) packed tensors, g -> (k,).
     f, h, p and g are vectorized over time too: for a 1-D array t of m times
     each returns one row per time, equal to the call at that scalar time.
-    ``_Engine.data`` samples and checks them, ``BLOCK_0D`` steps per call in
-    0d and one step in fem; ``initial_state`` checks v0 and sigma0 at t = 0.
+    Every call returns a new array.  ``_Engine.data`` samples and checks
+    them, ``BLOCK_0D`` steps per call in 0d and one step in fem, and a datum
+    that the catalog marks steady (``catalog.is_steady``) once per engine;
+    ``initial_state`` checks v0 and sigma0 at t = 0.
     """
 
     nu: float
@@ -253,6 +255,9 @@ class _Engine:
     The step matrices and their factors are built on first use, so an
     engine made only for ``initial_state`` or the energy report assembles no
     step matrix, and a projection run never builds ``a_visc``.
+
+    A steady datum has the same bits at every t, so the engine samples it
+    once (``_sample``): the step averages of h and f, f's load, p and g.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -264,6 +269,8 @@ class _Engine:
             self.mask = self.space.mask
         else:
             self.mesh = self.mask = None
+        # per datum: its one sample if it is steady, or False if it is not
+        self._once = {}
 
     def _step_matrix(self, visc: float) -> SparseSym:
         """M/dt + visc K with the constrained dofs eliminated."""
@@ -295,27 +302,55 @@ class _Engine:
 
     # -- data samples -------------------------------------------------------
 
+    def _sample(self, field: str, when, draw: Callable) -> np.ndarray:
+        """``draw(when)``, the checked sample of ``field`` at a step or time
+        ``when``, or at each of a 1-D array of them.  A steady datum is drawn
+        once, at the first ``when`` asked for (the first entry of an array);
+        a scalar ``when`` then gets that read-only array itself, and an
+        array a read-only broadcast of it with one row per entry."""
+        once = self._once.get(field)
+        if once is False:
+            return draw(when)
+        rows = when.shape[:1] if isinstance(when, np.ndarray) else ()
+        if once is None:
+            if not is_steady(getattr(self.spec, field)):
+                self._once[field] = False
+                return draw(when)
+            once = self._once[field] = draw(when[0] if rows else when)
+            once.setflags(write=False)
+        if not rows:
+            return once
+        # np.broadcast_to's view, built 4x faster; read-only, as its base is
+        return np.ndarray(rows + once.shape, once.dtype, once, 0, (0,) + once.strides)
+
+    def _average(self, field: str, n: int | np.ndarray) -> np.ndarray:
+        spec = self.spec
+        avg = time_average(getattr(spec, field), n, spec.dt, self.pts)
+        return _checked(field, n * spec.dt, avg, noun="step average")
+
     def data(self, n: int | np.ndarray) -> tuple:
         """h_n, p(t_n), g(t_n) and the load (f_n, phi_i) for every dof (the
         callers mask the constrained ones) of step n, or a row per step of a
         1-D array n; h_n and f_n average (t_{n-1}, t_n).  One checked call of
-        each datum; in 0d the load is None and f is not called."""
-        spec, t = self.spec, n * self.spec.dt
-        h = _checked("h", t, time_average(spec.h, n, spec.dt, self.pts), noun="step average")
+        each datum that is not steady; in 0d the load is None and f is not
+        called."""
+        h = self._sample("h", n, lambda n: self._average("h", n))
         # every step is checked: t_N = N dt can pass the T that parse_config samples
+        t = n * self.spec.dt
         p, g = self.p_at(t), self.g_at(t)
         if self.space is None:
             return h, p, g, None
-        f = _checked("f", t, time_average(spec.f, n, spec.dt, self.pts), noun="step average")
-        return h, p, g, body_load(self.space, f)
+        load = self._sample("f", n, lambda n: body_load(self.space, self._average("f", n)))
+        return h, p, g, load
 
     def p_at(self, t: float | np.ndarray) -> np.ndarray:
-        return _checked("p", t, self.spec.p(t, self.pts))
+        return self._sample("p", t, lambda t: _checked("p", t, self.spec.p(t, self.pts)))
 
     def g_at(self, t: float | np.ndarray) -> np.ndarray:
         """g at one time, (k,), or at a 1-D array of times, (m, k); a
         ConfigError names the first time where it is negative or not finite."""
-        return _checked("g", t, self.spec.g(t, self.pts), 0.0, "yield radius")
+        return self._sample("g", t, lambda t: _checked(
+            "g", t, self.spec.g(t, self.pts), 0.0, "yield radius"))
 
     # -- momentum solve -----------------------------------------------------
 
@@ -330,7 +365,13 @@ class _Engine:
 
 
 def initial_state(spec: ProblemSpec) -> SchemeState:
-    eng = _Engine(spec)
+    return _initial_state(_Engine(spec))
+
+
+def _initial_state(eng: _Engine) -> SchemeState:
+    """``initial_state`` from ``eng``'s samples of p and g at t = 0, so that
+    parse_config, whose checks sampled a steady g there, samples it once."""
+    spec = eng.spec
     if spec.space is not None:
         v0 = np.zeros(eng.mesh.n_dofs)
         if spec.v0 is not None:
@@ -634,6 +675,17 @@ def korn_constant(space: FemSpace) -> float:
     return space.korn
 
 
+def _per_array(term: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], float]:
+    """``term``, computed again only for an array other than the last one."""
+    last = [None, 0.0]
+
+    def cached(x: np.ndarray) -> float:
+        if x is not last[0]:
+            last[:] = x, term(x)
+        return last[1]
+    return cached
+
+
 def energy_report(traj: Trajectory) -> EnergyReport:
     """Numeric check of the summed per-step energy inequality.
 
@@ -642,7 +694,9 @@ def energy_report(traj: Trajectory) -> EnergyReport:
     c2 (||v0||^2 + ||sigma0||^2 + ||p_0||^2
         + dt sum_n (||f_n||_{V*}^2 + ||p_n||^2 + ||Dp_n||^2 + ||h_n||^2))
     with c2 = e * max(2 cK^2/nu, 2/nu, 4) and cK the mesh-measured constant
-    from korn_constant.
+    from korn_constant.  The engine returns a steady datum's one sample at
+    every step, so its term of the sum is computed once (one dual-norm solve
+    for a steady f) and added at every step, in the same order.
     """
     if traj.space is None:
         raise ValueError("energy report needs a fem-mode trajectory")
@@ -655,13 +709,18 @@ def energy_report(traj: Trajectory) -> EnergyReport:
     c2 = math.e * max(2.0 * ck**2 / spec.nu, 2.0 / spec.nu, 4.0)
 
     p0 = p_prev = eng.p_at(0.0)
+    f_sq = _per_array(lambda f: space.dual_norm(f) ** 2)
+    p_sq, h_sq = _per_array(lambda p: inner(p, p)), _per_array(lambda h: inner(h, h))
     rhs_sum = 0.0
     lhs = np.zeros(spec.N)
     strain_acc = 0.0
     for n in range(1, spec.N + 1):
         h_n, p_n, _, f_n = eng.data(n)
-        dp = (p_n - p_prev) / dt
-        rhs_sum += space.dual_norm(f_n) ** 2 + inner(p_n, p_n) + inner(dp, dp) + inner(h_n, h_n)
+        dp_sq = 0.0  # a steady p: dp = 0, whose square adds exactly 0.0
+        if p_n is not p_prev:
+            dp = (p_n - p_prev) / dt
+            dp_sq = inner(dp, dp)
+        rhs_sum += f_sq(f_n) + p_sq(p_n) + dp_sq + h_sq(h_n)
         v = traj.v[n]
         strain_acc += float(v @ spmv(space.strain_stiff, v))
         s_star, s = traj.sigma_star[n] + p_n, traj.sigma[n] + p_n

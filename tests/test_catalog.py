@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plastiproj.catalog import ConfigError, Fields, data_fn
+from plastiproj.catalog import ConfigError, Fields, data_fn, is_steady
 
 BUILDERS = [
     ("vector", "constant", {"value": [1.0, -2.0]}, (2,)),
@@ -39,6 +39,25 @@ def test_builder_returns_fresh_writable_array(role, name, params, tail, k):
         assert rows.flags.writeable and rows.flags.owndata
         for t, row in zip(times, rows):
             np.testing.assert_array_equal(row, fn(float(t), pts))
+
+
+@pytest.mark.parametrize("role, name, params, tail", BUILDERS,
+                         ids=[f"{role}_fn-{n}" for role, n, _, _ in BUILDERS])
+def test_every_entry_but_linear_in_t_is_marked_steady(role, name, params, tail):
+    fn = data_fn(role, name, Fields(params, "params"))
+
+    def forward(t, pts):
+        return fn(t, pts)
+    forward.__wrapped__ = fn
+    assert is_steady(fn) is is_steady(forward) is (name != "linear_in_t")
+    assert not is_steady(lambda t, pts: fn(t, pts))
+    # what the mark promises: the same bits at every time, and every row of an array call
+    pts = np.linspace(0.0, 1.0, 10).reshape(5, 2)
+    first = fn(0.0, pts)
+    rows = fn(np.array([0.0, 0.3, 1e9]), pts)
+    same = [first.tobytes() == fn(t, pts).tobytes() for t in (0.3, 2.0, -1.5)]
+    same += [first.tobytes() == row.tobytes() for row in rows]
+    assert all(same) is is_steady(fn)
 
 
 # the builders whose value is the same at every point, as a function of t
