@@ -14,7 +14,7 @@ Roles and shapes (k = number of evaluation points):
 time, (m, k, ...), each bit-identical to the scalar call at that time.
 Every call returns a fresh, writable array.  Every entry but ``linear_in_t``
 is steady: it returns the same bits at every t, and ``data_fn`` marks it so
-(``is_steady``), so that a run samples it once.  ``data_fn`` reads ``params``
+(``is_steady``), so that a config samples it once.  ``data_fn`` reads ``params``
 through ``Fields`` (from Python, ``Fields(params, "params")``), the reader of
 every config object: a number is a JSON int or float, never a bool or a
 string, and a key that no read took is an error naming its field."""

@@ -37,11 +37,11 @@ from .stepper import (
     Trajectory,
     _check_nested,
     _Engine,
-    _initial_state,
     _quad_forms,
     convergence_errors,
     discrete_norms,
     energy_report,
+    initial_state,
     run,
 )
 
@@ -179,9 +179,8 @@ def parse_config(path) -> RunConfig:
                        f=f_fn, h=h_fn, p=p_fn, g=g_fn, v0=v0_fn, sigma0=s0_fn)
 
     # data validation: a finite g >= 0 on a t-sample grid; at t = 0, finite data, feasible stress
-    eng = _Engine(spec)
-    eng.g_at(np.linspace(0.0, total_t, 17))
-    _initial_state(eng)
+    _Engine(spec).g_at(np.linspace(0.0, total_t, 17))
+    initial_state(spec)
     return RunConfig(spec=spec, scheme=scheme, dt_list=dt_list, ref_n=ref_n, seed=seed,
                      vtk_stride=vtk_stride, verify_params=counts)
 

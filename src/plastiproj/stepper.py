@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -85,8 +85,8 @@ class ProblemSpec:
     each returns one row per time, equal to the call at that scalar time.
     Every call returns a new array.  ``_Engine.data`` samples and checks
     them, ``BLOCK_0D`` steps per call in 0d and one step in fem, and a datum
-    that the catalog marks steady (``catalog.is_steady``) once per engine;
-    ``initial_state`` checks v0 and sigma0 at t = 0.
+    that the catalog marks steady (``catalog.is_steady``) once per config
+    (``_steady``); ``initial_state`` checks v0 and sigma0 at t = 0.
     """
 
     nu: float
@@ -99,6 +99,9 @@ class ProblemSpec:
     g: Callable[[float, np.ndarray], np.ndarray]
     v0: Callable[[float, np.ndarray], np.ndarray] | None = None
     sigma0: Callable[[float, np.ndarray], np.ndarray] | None = None
+    # per (field, datum): its one sample if steady, else False (``_Engine._sample``);
+    # every engine and ``with_steps`` copy shares it, as no steady sample depends on dt
+    _steady: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.nu) and self.nu > 0.0):
@@ -120,7 +123,9 @@ class ProblemSpec:
         return self.T / self.N
 
     def with_steps(self, n: int) -> "ProblemSpec":
-        return replace(self, N=n)
+        spec = replace(self, N=n)
+        spec._steady = self._steady
+        return spec
 
 
 @dataclass
@@ -256,8 +261,9 @@ class _Engine:
     engine made only for ``initial_state`` or the energy report assembles no
     step matrix, and a projection run never builds ``a_visc``.
 
-    A steady datum has the same bits at every t, so the engine samples it
-    once (``_sample``): the step averages of h and f, f's load, p and g.
+    A steady datum has the same bits at every t, so it is sampled once per
+    config (``_sample``, into the spec's ``_steady``): the step averages of
+    h and f, f's load, p and g.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -269,8 +275,6 @@ class _Engine:
             self.mask = self.space.mask
         else:
             self.mesh = self.mask = None
-        # per datum: its one sample if it is steady, or False if it is not
-        self._once = {}
 
     def _step_matrix(self, visc: float) -> SparseSym:
         """M/dt + visc K with the constrained dofs eliminated."""
@@ -305,23 +309,24 @@ class _Engine:
     def _sample(self, field: str, when, draw: Callable) -> np.ndarray:
         """``draw(when)``, the checked sample of ``field`` at a step or time
         ``when``, or at each of a 1-D array of them.  A steady datum is drawn
-        once, at the first ``when`` asked for (the first entry of an array);
-        a scalar ``when`` then gets that read-only array itself, and an
-        array a read-only broadcast of it with one row per entry."""
-        once = self._once.get(field)
+        once per config, at the first ``when`` asked for (the first entry of
+        an array); a scalar ``when`` then gets that read-only array itself,
+        and an array a read-only broadcast of it with one row per entry."""
+        # a datum replaced on the spec is a new key, so it is drawn again; the
+        # field is in the key as h and p may share a function, but h is averaged
+        key = (field, getattr(self.spec, field))
+        steady = self.spec._steady
+        once = steady.get(key)
         if once is False:
             return draw(when)
         rows = when.shape[:1] if isinstance(when, np.ndarray) else ()
         if once is None:
-            if not is_steady(getattr(self.spec, field)):
-                self._once[field] = False
+            if not is_steady(key[1]):
+                steady[key] = False
                 return draw(when)
-            once = self._once[field] = draw(when[0] if rows else when)
+            once = steady[key] = draw(when[0] if rows else when)
             once.setflags(write=False)
-        if not rows:
-            return once
-        # np.broadcast_to's view, built 4x faster; read-only, as its base is
-        return np.ndarray(rows + once.shape, once.dtype, once, 0, (0,) + once.strides)
+        return np.broadcast_to(once, rows + once.shape) if rows else once
 
     def _average(self, field: str, n: int | np.ndarray) -> np.ndarray:
         spec = self.spec
@@ -365,13 +370,8 @@ class _Engine:
 
 
 def initial_state(spec: ProblemSpec) -> SchemeState:
-    return _initial_state(_Engine(spec))
-
-
-def _initial_state(eng: _Engine) -> SchemeState:
-    """``initial_state`` from ``eng``'s samples of p and g at t = 0, so that
-    parse_config, whose checks sampled a steady g there, samples it once."""
-    spec = eng.spec
+    """The state at t = 0, with v0 and sigma0 checked, and sigma0 feasible for p and g."""
+    eng = _Engine(spec)
     if spec.space is not None:
         v0 = np.zeros(eng.mesh.n_dofs)
         if spec.v0 is not None:
@@ -694,9 +694,9 @@ def energy_report(traj: Trajectory) -> EnergyReport:
     c2 (||v0||^2 + ||sigma0||^2 + ||p_0||^2
         + dt sum_n (||f_n||_{V*}^2 + ||p_n||^2 + ||Dp_n||^2 + ||h_n||^2))
     with c2 = e * max(2 cK^2/nu, 2/nu, 4) and cK the mesh-measured constant
-    from korn_constant.  The engine returns a steady datum's one sample at
-    every step, so its term of the sum is computed once (one dual-norm solve
-    for a steady f) and added at every step, in the same order.
+    from korn_constant.  A steady datum's one sample per config comes back
+    at every step, so its term of the sum is computed once (one dual-norm
+    solve for a steady f) and added at every step, in the same order.
     """
     if traj.space is None:
         raise ValueError("energy report needs a fem-mode trajectory")

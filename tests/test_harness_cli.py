@@ -726,6 +726,8 @@ def test_run_samples_p_and_g_once_per_chunk(tmp_path):
     blocks = -(-cfg.spec.N // stepper.BLOCK_0D)
     chunks = -(-(cfg.spec.N + 1) // (stepper.SAMPLE_BUDGET // 3))
     assert max(calls.values()) <= 1 + blocks + chunks, calls
+    # the wrappers carry no steady mark, so the spec's samples never serve them
+    assert min(calls.values()) >= blocks + chunks, calls
 
 
 @pytest.mark.parametrize("overrides", [

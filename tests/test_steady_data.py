@@ -1,7 +1,8 @@
-"""An engine samples each steady datum once, and that changes no output.
+"""A config samples each steady datum once, and that changes no output.
 
 ``catalog.data_fn`` marks every entry but ``linear_in_t`` as steady, and
-``_Engine`` then samples such a datum once and returns that one read-only
+``_Engine`` then samples such a datum once per spec, keeps it on the spec
+for every engine and ``with_steps`` copy, and returns that one read-only
 array at every step.  A bare ``(t, pts)`` closure carries no mark, so the
 same data given as closures are sampled at every step: the outputs of the
 two paths must match byte for byte.
@@ -54,7 +55,7 @@ def _with(spec, wrapped, **data):
 
 
 @pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "forwarded"])
-def test_steady_data_are_sampled_once_per_engine(monkeypatch, wrapped):
+def test_steady_data_are_sampled_once_per_config(monkeypatch, wrapped):
     calls = _counting_catalog(monkeypatch)
     spec = _with(unit_square_spec(n_steps=9, mesh_n=4), wrapped, **STEADY)
     eng = stepper._Engine(spec)
@@ -64,16 +65,17 @@ def test_steady_data_are_sampled_once_per_engine(monkeypatch, wrapped):
             assert got is want
     assert len(calls) == 4  # h, p, g and f, once each
     calls.clear()
-    traj = run(spec)
-    # the run's engine samples each datum once; initial_state's own, p and g at t = 0
-    assert len(calls) == 4 + 2
-    calls.clear()
-    energy_report(traj)
-    assert len(calls) == 4
-    calls.clear()
-    # a 0d run over three blocks of steps: h, p and g once, f never
+    # the run's engine, initial_state's, the energy report's and those of a
+    # copy at another dt all take the spec's samples
+    energy_report(run(spec))
+    copy = spec.with_steps(5)
+    energy_report(run(copy))
+    for got, want in zip(stepper._Engine(copy).data(3), first):
+        assert got is want
+    assert calls == []
+    # a 0d run over three blocks of steps on a fresh spec: h, p and g once, f never
     run(_with(radial_0d_spec(n_steps=2 * stepper.BLOCK_0D + 5), wrapped, **STEADY))
-    assert len(calls) == 3 + 2
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "forwarded"])
@@ -167,6 +169,87 @@ def test_steady_data_give_the_outputs_of_per_step_sampling(tmp_path, name, schem
     else:
         steps = spec.N if spec.space is not None else -(-spec.N // stepper.BLOCK_0D)
     assert calls["h"] >= steps
+
+
+def _counting_parse(monkeypatch):
+    """Per field, the calls of the datum that ``parse_config`` builds for it,
+    through a forwarding closure that keeps its steady mark."""
+    calls, build = dict.fromkeys("fhpg", 0), cli._build_fn
+
+    def counted(cfg, key, role):
+        fn = build(cfg, key, role)
+
+        def sample(t, pts):
+            calls[key] += 1
+            return fn(t, pts)
+        sample.__wrapped__ = fn
+        return sample
+    monkeypatch.setattr(cli, "_build_fn", counted)
+    return calls
+
+
+def _parse(tmp_path, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    return cli.parse_config(path)
+
+
+def test_parse_config_and_initial_state_draw_p_and_g_once(monkeypatch, tmp_path):
+    calls = _counting_parse(monkeypatch)
+    cfg = _parse(tmp_path, CONFIGS["fem_steady"])
+    stepper.initial_state(cfg.spec)
+    assert calls == {"f": 0, "h": 0, "p": 1, "g": 1}
+
+
+# ref_N for the convergence study, strictly finer than every study dt
+STUDIES = {"fem_steady": {"dt_list": [0.5, 0.25, 0.1], "ref_N": 20},
+           "0d_steady": {"dt_list": [0.5, 0.25], "ref_N": 16}}
+STUDY_COMMANDS = [(name, command) for name in STUDIES
+                  for command in ("run", "stability", "convergence")
+                  if name.startswith("fem") or command != "stability"]
+
+
+@pytest.mark.parametrize("name, command", STUDY_COMMANDS,
+                         ids=[f"{n}-{c}" for n, c in STUDY_COMMANDS])
+def test_a_command_draws_each_steady_datum_once(monkeypatch, tmp_path, name, command):
+    calls = _counting_parse(monkeypatch)
+    cfg = _parse(tmp_path, CONFIGS[name] | {"study": STUDIES[name]})
+    getattr(cli, "cmd_" + command)(cfg, tmp_path / "out")
+    # parse included; 0d never calls f
+    assert calls == {"f": int(cfg.spec.space is not None), "h": 1, "p": 1, "g": 1}
+
+
+@pytest.mark.parametrize("how", ["replace", "assign"])
+def test_a_datum_replaced_after_its_first_draw_is_drawn_again(how):
+    spec = _with(unit_square_spec(n_steps=4, mesh_n=4), False, **STEADY)
+    h, p, g, _ = stepper._Engine(spec).data(1)
+    half = _fn("scalar", "constant", value=0.5)
+    # h and p given one function: each keeps its own sample
+    changes = {"g": half, "h": STEADY["p"]}
+    if how == "replace":
+        spec = replace(spec, **changes)
+    else:
+        for role, fn in changes.items():
+            setattr(spec, role, fn)
+    h_new, p_new, g_new, _ = stepper._Engine(spec).data(2)
+    assert g.tolist() == [0.8] * len(g) and g_new.tolist() == [0.5] * len(g)
+    assert p_new is not h_new
+    assert h_new.tobytes() == stepper.time_average(STEADY["p"], 1, spec.dt, spec.pts).tobytes()
+    assert h_new.tobytes() != h.tobytes()
+    # p is the same function: its sample is kept by assignment, drawn again by replace
+    assert (p_new is p) is (how == "assign")
+
+
+def test_forwarding_wrappers_assigned_after_parse_draw_each_datum_once_more(
+        monkeypatch, tmp_path):
+    calls = _counting_parse(monkeypatch)
+    cfg = _parse(tmp_path, CONFIGS["fem_steady"])
+    # as perfbench/spans.wrap_data traces the data
+    for role in "fhpg":
+        setattr(cfg.spec, role, _forwarding(getattr(cfg.spec, role)))
+    cli.cmd_stability(cfg, tmp_path / "out")
+    # parse drew p and g; the wrappers each datum once, not once per step or per dt
+    assert calls == {"f": 1, "h": 1, "p": 2, "g": 2}
 
 
 def _energy_rhs_per_step(traj):
